@@ -12,11 +12,9 @@ Run:  python examples/quickstart.py
 from repro import DRRSController, JobGraph, StreamJob
 from repro.engine import (KeyedReduceLogic, LatencyMarker, OperatorSpec,
                           Partitioning, Record)
-from repro.engine.runtime import JobConfig
 
 
-def build_job(record_plane: str = "batched",
-              max_batch_size: int = 64) -> StreamJob:
+def build_job() -> StreamJob:
     graph = JobGraph("quickstart", num_key_groups=32)
     graph.add_source("source", parallelism=2, service_time=1e-5)
     graph.add_operator(OperatorSpec(
@@ -30,13 +28,10 @@ def build_job(record_plane: str = "batched",
     graph.add_sink("sink")
     graph.connect("source", "counter", Partitioning.HASH)
     graph.connect("counter", "sink", Partitioning.FORWARD)
-    # The batched record plane is the default: micro-batches cut the host
-    # CPU per simulated record without changing any simulated behaviour.
-    # Pass record_plane="single" to run the per-record reference plane
-    # (bit-identical results, just slower wall-clock).
-    config = JobConfig(record_plane=record_plane,
-                       max_batch_size=max_batch_size)
-    return StreamJob(graph, config=config).build()
+    # Records move through the batched record plane: micro-batches cut the
+    # host CPU per simulated record without changing any simulated
+    # behaviour (the test suite checks it against a per-record reference).
+    return StreamJob(graph).build()
 
 
 def drive(job: StreamJob, until: float):

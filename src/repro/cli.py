@@ -268,7 +268,7 @@ def _cmd_bench(args) -> int:
                     regs[name] = bad
         return rows, regs
 
-    # A baseline measured under a different scheduler / record plane /
+    # A baseline measured under a different record plane /
     # shard count is apples-to-oranges: print both configs and warn
     # instead of comparing silently.
     config_warnings = []

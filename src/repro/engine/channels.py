@@ -25,7 +25,6 @@ from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
 from ..simulation.kernel import Event, Simulator, _Callback
 from .cluster import LinkSpec
-from .columnar import cumulative_ship_times
 from .records import RecordBatch, StreamElement, Watermark
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -648,45 +647,24 @@ class Channel:
         limit = min(self.credits, self.max_batch)
         records = [first]
         total = first.size_bytes
-        job = self._job
-        if job is not None and job.columnar_active:
-            # Columnar plane: pop the run first, then compute every member's
-            # cumulative serialize time with one np.add.accumulate — the
-            # same left-to-right float64 additions the scalar loop below
-            # performs, so the ship/delivery instants are bitwise equal.
-            sizes = [first.size_bytes]
-            while len(records) < limit and outbox:
-                nxt = outbox[0]
-                if not nxt.is_record:
-                    break
-                if nxt.size_bytes / bandwidth <= 0:
-                    break
-                outbox.popleft()
-                records.append(nxt)
-                sizes.append(nxt.size_bytes)
-                total += nxt.size_bytes
-            if len(records) == 1:
-                return None
-            ship_times = cumulative_ship_times(sizes, sim._now, bandwidth)
-        else:
-            s = sim._now + ser
-            ship_times = [s]
-            while len(records) < limit and outbox:
-                nxt = outbox[0]
-                if not nxt.is_record:
-                    break
-                nser = nxt.size_bytes / bandwidth
-                if nser <= 0:
-                    break
-                outbox.popleft()
-                records.append(nxt)
-                s += nser
-                ship_times.append(s)
-                total += nxt.size_bytes
-            if len(records) == 1:
-                # The run evaporated (head re-checked ineligible): restore
-                # the per-element path for `first`.
-                return None
+        s = sim._now + ser
+        ship_times = [s]
+        while len(records) < limit and outbox:
+            nxt = outbox[0]
+            if not nxt.is_record:
+                break
+            nser = nxt.size_bytes / bandwidth
+            if nser <= 0:
+                break
+            outbox.popleft()
+            records.append(nxt)
+            s += nser
+            ship_times.append(s)
+            total += nxt.size_bytes
+        if len(records) == 1:
+            # The run evaporated (head re-checked ineligible): restore
+            # the per-element path for `first`.
+            return None
         telemetry = self.telemetry
         if telemetry is not None:
             registry = telemetry.registry

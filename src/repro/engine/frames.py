@@ -1,17 +1,18 @@
-"""Columnar cut-edge frames for the sharded shared-memory transport.
+"""Column-major cut-edge frames for the sharded shared-memory transport.
 
 One frame is one flush from an upstream shard to a downstream shard: a
 struct-packed header carrying the piggybacked grant, then the staged
 cut-edge messages.  ``RecordBatch`` payloads — the hot path at paper scale
-— are shipped as *columns*: seven packed numeric arrays (visible/event/
-created times, sizes, counts, record ids, key groups) plus one pickle for
-the object-typed remainder (keys, values, lineage).  That single pickle
-per frame replaces one pickle traversal per Record, which is where the
-pipe transport burned its cross-shard budget (see docs/performance.md).
+— are shipped as *columns*: seven ``struct``-packed numeric arrays
+(visible/event/created times, sizes, counts, record ids, key groups)
+plus one pickle for the object-typed remainder (keys, values, lineage).
+That single pickle per frame replaces one pickle traversal per Record,
+which is where the pipe transport burned its cross-shard budget (see
+docs/performance.md).
 
 Watermarks — the bulk of cut-edge *messages* — are pure structs (no
 pickle at all).  Anything else (latency markers, barriers, control
-signals, and batches whose columnar encode fails) rides the trailing
+signals, and batches whose column encode fails) rides the trailing
 pickle blob verbatim: the fallback keeps the codec total without
 sacrificing the fast paths.
 
@@ -20,28 +21,20 @@ binary64, the in-memory representation), ints through ``<q``, and object
 payloads through pickle exactly as the pipe transport moved them — so a
 decoded element is indistinguishable from its pipe-transported twin and
 the sharded equivalence bar (byte-identical sink dumps, state digests,
-watermark traces) is unaffected by transport choice.
-
-Column arrays are reused from the columnar record plane when available:
-``RecordBatch.columns()`` views serialize via ``ndarray.tobytes`` (a
-memcpy) instead of per-field Python loops.
+watermark traces) is unaffected by transport choice.  The codec is pure
+standard library: one ``struct.pack`` per column.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-import sys
 from typing import Any, Iterable, List, Tuple
 
-from .columnar import HAVE_NUMPY
 from .records import Record, RecordBatch, Watermark
 
 __all__ = ["encode_frame", "decode_frame"]
 
-#: numpy ``tobytes`` only matches the ``<d``/``<q`` wire format on
-#: little-endian hosts; elsewhere the struct path is used for encode.
-_NATIVE_LE = sys.byteorder == "little"
 _PROTO = pickle.HIGHEST_PROTOCOL
 
 #: Frame header: grant f64, flags u8 (bit0 = final), message count u32,
@@ -51,7 +44,7 @@ FLAG_FINAL = 0x01
 
 #: Per-message header: wire kind u8, channel id u32, delivery time f64.
 _MSG_HDR = struct.Struct("<BId")
-_MSG_BATCH = 0      # columnar RecordBatch ("b")
+_MSG_BATCH = 0      # column-packed RecordBatch ("b")
 _MSG_ELEMENT = 1    # pickled element ("e")
 _MSG_CONTROL = 2    # pickled control payload ("c")
 _MSG_WATERMARK = 3  # struct-packed Watermark ("e")
@@ -91,31 +84,16 @@ def _encode_batch(batch: RecordBatch, parts: List[bytes],
         flags |= _COL_LINEAGE
     parts.append(_BATCH_HDR.pack(n, batch.next_index, flags,
                                  batch.size_bytes))
-    cols = batch.columns() if (_NATIVE_LE and HAVE_NUMPY) else None
     if vts is not None:
-        if cols is not None and cols.visible_time is not None:
-            parts.append(cols.visible_time.tobytes())
-        else:
-            parts.append(_pack_f64(vts, n))
-    if cols is not None:
-        parts.append(cols.event_time.tobytes())
-    else:
-        parts.append(_pack_f64((r.event_time for r in records), n))
+        parts.append(_pack_f64(vts, n))
+    parts.append(_pack_f64((r.event_time for r in records), n))
     parts.append(_pack_f64((r.created_at for r in records), n))
-    if cols is not None:
-        parts.append(cols.size_bytes.tobytes())
-        parts.append(cols.count.tobytes())
-    else:
-        parts.append(_pack_f64((r.size_bytes for r in records), n))
-        parts.append(_pack_i64((r.count for r in records), n))
+    parts.append(_pack_f64((r.size_bytes for r in records), n))
+    parts.append(_pack_i64((r.count for r in records), n))
     parts.append(_pack_i64((r.record_id for r in records), n))
     # Key-group -1 encodes None (real key groups are always >= 0).
-    if cols is not None:
-        parts.append(cols.key_group.tobytes())
-    else:
-        parts.append(_pack_i64(
-            (-1 if r.key_group is None else r.key_group for r in records),
-            n))
+    parts.append(_pack_i64(
+        (-1 if r.key_group is None else r.key_group for r in records), n))
     if lineage:
         objtail.append((tuple(r.key for r in records),
                         tuple(r.value for r in records),
@@ -153,12 +131,11 @@ def encode_frame(msgs: Iterable[Tuple[str, int, float, Any]],
             try:
                 _encode_batch(element, parts, objtail)
             except (struct.error, TypeError, ValueError, OverflowError):
-                # Non-columnar payload (exotic field types): fall back to
-                # pickling the whole carrier, minus any cached numpy view.
+                # Non-numeric fields (exotic payload types): fall back to
+                # pickling the whole carrier.
                 del parts[mark:]
                 del objtail[tail_mark:]
                 parts.append(_MSG_HDR.pack(_MSG_PICKLED_BATCH, cid, t))
-                element._columns = None
                 objtail.append(element)
                 if stats is not None:
                     stats.batch_fallbacks += 1
@@ -228,7 +205,6 @@ def _decode_batch(data: bytes, off: int, objtail: List[Any],
     batch.visible_times = visible_times
     batch.next_index = next_index
     batch.size_bytes = size_bytes
-    batch._columns = None
     return batch, off, obj_idx + 1
 
 

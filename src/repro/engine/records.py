@@ -137,8 +137,7 @@ class RecordBatch(StreamElement):
         size_bytes: total serialized bytes (sum of member sizes).
     """
 
-    __slots__ = ("records", "visible_times", "next_index", "size_bytes",
-                 "_columns")
+    __slots__ = ("records", "visible_times", "next_index", "size_bytes")
 
     def __init__(self, records, visible_times=None, size_bytes=None):
         self.records = records
@@ -149,25 +148,6 @@ class RecordBatch(StreamElement):
             for rec in records:
                 size_bytes += rec.size_bytes
         self.size_bytes = size_bytes
-        self._columns = None
-
-    def columns(self):
-        """Lazy columnar (numpy) view of the member records.
-
-        Returns a cached :class:`~.columnar.BatchColumns` snapshot, or
-        ``None`` when numpy is unavailable.  The view covers *all* members
-        (consumers index it with ``next_index``); it is built once per
-        carrier and never mutated — membership of a batch is fixed at
-        formation, only the consumption cursor moves.
-        """
-        cols = self._columns
-        if cols is None:
-            from .columnar import HAVE_NUMPY, BatchColumns
-            if not HAVE_NUMPY:
-                return None
-            cols = BatchColumns(self.records, self.visible_times)
-            self._columns = cols
-        return cols
 
     def __len__(self) -> int:
         return len(self.records) - self.next_index

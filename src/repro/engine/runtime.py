@@ -54,19 +54,12 @@ class JobConfig:
     max_concurrent_transfers_per_host: int = 4
     #: Record plane: ``"batched"`` moves micro-batches end-to-end through
     #: the source→channel→operator hot loop (bit-identical semantics,
-    #: golden-trace enforced); ``"columnar"`` is the batched plane plus
-    #: numpy-backed column views over each batch (vectorized window-pane
-    #: accumulation and batch formation — falls back to plain batched
-    #: behaviour when numpy is unavailable); ``"single"`` is the
-    #: per-record reference implementation.
+    #: golden-trace enforced); ``"single"`` is the per-record reference
+    #: implementation the batched plane is tested against.
     record_plane: str = "batched"
     #: Upper bound on records per micro-batch; credits and channel
     #: occupancy shrink actual batches below this.
     max_batch_size: int = 64
-    #: Kernel event scheduler: ``"heap"`` (binary heap) or ``"calendar"``
-    #: (calendar-queue / bucketed wheel — same dispatch order
-    #: bit-identically, faster at paper-scale timer populations).
-    scheduler: str = "heap"
     #: Keyed state backend: ``"dict"`` (reference full-copy store,
     #: synchronous checkpoint cost proportional to state size) or
     #: ``"changelog"`` (append-only delta logs; checkpoints cut delta
@@ -96,17 +89,16 @@ class JobConfig:
     #: partition plan (:meth:`~..engine.routing.ShardPlan.annotate_cuts`).
     shard_inbox_capacity: Optional[int] = None
     #: Cut-edge transport for the sharded kernel: ``"shm"`` (shared-memory
-    #: columnar frame rings with demand-driven null messages and adaptive
+    #: column-packed frame rings with demand-driven null messages and adaptive
     #: quantum), ``"pipe"`` (the legacy pickle-over-pipe protocol with a
     #: fixed quantum and eager nulls), or ``"auto"`` (shm when the
     #: platform supports it, else pipe).  ``None`` reads
     #: ``REPRO_SHARD_TRANSPORT`` (defaulting to ``"auto"``).
     shard_transport: Optional[str] = None
 
-    #: Legal record planes / schedulers / batch-size bounds (also enforced
-    #: by :class:`~..experiments.harness.ExperimentConfig` overrides).
-    RECORD_PLANES = ("batched", "single", "columnar")
-    SCHEDULERS = ("heap", "calendar")
+    #: Legal record planes / batch-size bounds (also enforced by
+    #: :class:`~..experiments.harness.ExperimentConfig` overrides).
+    RECORD_PLANES = ("batched", "single")
     STATE_BACKENDS = ("dict", "changelog")
     SHARD_TRANSPORTS = ("auto", "shm", "pipe")
     MAX_BATCH_SIZE_LIMIT = 4096
@@ -135,10 +127,6 @@ class JobConfig:
             raise ValueError(
                 "changelog_max_log_entries must be a positive integer, "
                 f"got {self.changelog_max_log_entries!r}")
-        if self.scheduler not in self.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler: {self.scheduler!r} "
-                f"(expected one of: {', '.join(self.SCHEDULERS)})")
         if (not isinstance(self.max_batch_size, int)
                 or isinstance(self.max_batch_size, bool)
                 or not 1 <= self.max_batch_size <= self.MAX_BATCH_SIZE_LIMIT):
@@ -349,24 +337,16 @@ class StreamJob:
         self.graph = graph
         self.cluster = cluster or single_machine()
         self.config = config or JobConfig()
-        self.sim = sim or Simulator(scheduler=self.config.scheduler)
+        self.sim = sim or Simulator()
         self.metrics = metrics or MetricsCollector()
         if self.config.record_plane not in JobConfig.RECORD_PLANES:
             raise ValueError(
                 f"unknown record_plane: {self.config.record_plane!r} "
                 f"(expected one of: {', '.join(JobConfig.RECORD_PLANES)})")
-        #: True while the micro-batched record plane is active ("batched"
-        #: and "columnar" both ride the batch carriers).  Cleared
+        #: True while the micro-batched record plane is active.  Cleared
         #: (permanently) by :meth:`disable_batching` — fault injection and
         #: failure recovery need per-record visibility everywhere.
-        self._batching = self.config.record_plane in ("batched", "columnar")
-        #: True when the columnar plane is selected *and* numpy is present:
-        #: channels vectorize batch-formation ship times, carriers expose
-        #: column views.  Without numpy the "columnar" plane degrades to
-        #: exactly the "batched" plane (same bits either way).
-        from .columnar import HAVE_NUMPY
-        self.columnar_active = (self.config.record_plane == "columnar"
-                                and HAVE_NUMPY)
+        self._batching = self.config.record_plane == "batched"
         self._instances: Dict[str, List[OperatorInstance]] = {}
         #: Current (authoritative) key-group assignment per keyed operator.
         self.assignments: Dict[str, KeyGroupAssignment] = {}
@@ -610,7 +590,6 @@ class StreamJob:
         if not self._batching:
             return
         self._batching = False
-        self.columnar_active = False
         for instance in self.all_instances():
             for channel in instance.router.all_channels():
                 channel.batching = False

@@ -22,19 +22,10 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
-from .columnar import _np
 from .operators import OperatorLogic
 from .records import Record, StreamElement
 
 __all__ = ["SlidingWindowAggregateLogic", "WindowedJoinLogic"]
-
-#: Minimum same-(key-group, bucket) run length before the columnar
-#: accumulation path pays for its per-pane array setup.  Below this the
-#: scalar adds win; batch-wide bucketing is vectorized regardless.
-_COLUMNAR_MIN_RUN = 3
-
-#: Minimum consume-batch size before building the column view at all.
-_COLUMNAR_MIN_BATCH = 8
 
 
 # One (key-group, window-start) aggregation pane, stored as a bare list for
@@ -120,33 +111,6 @@ class SlidingWindowAggregateLogic(OperatorLogic):
             return candidate
         return current
 
-    @staticmethod
-    def _columnar_run_max(recs, a, b, panes):
-        """Fold the run's max candidate, or None when ineligible.
-
-        The columnar path collapses the per-record, per-pane max fold
-        into one fold over the run plus a single compare per pane.  That
-        collapse is observably identical only when every comparison is
-        exception-free and totally ordered, so it is gated on all
-        candidates — and all current pane values — being plain non-NaN
-        ints or floats; bools, NaNs and mixed types keep the scalar
-        path's try/except, first-write-wins semantics.
-        """
-        for pane in panes:
-            v = pane[_P_VALUE]
-            if v is not None and type(v) is not int and type(v) is not float:
-                return None
-        runmax = None
-        for idx in range(a, b):
-            rec = recs[idx]
-            cand = rec.value if rec.value is not None else rec.count
-            t = type(cand)
-            if (t is not int and t is not float) or cand != cand:
-                return None
-            if runmax is None or cand > runmax:
-                runmax = cand
-        return runmax
-
     def on_record(self, record, instance):
         kg = record.key_group
         event_time = record.event_time
@@ -214,52 +178,20 @@ class SlidingWindowAggregateLogic(OperatorLogic):
         exactly the per-record order, so sums match to the last bit.
         Custom ``agg_fn``s may observe global call order, so only the
         default (max) aggregate takes the regrouped path.
-
-        Under the columnar record plane, long same-bucket runs additionally
-        take a vectorized path over :meth:`RecordBatch.columns` views:
-        integer count sums are order-free and therefore exact, and float
-        byte accumulations use ``np.add.accumulate`` seeded with the
-        current accumulator so the left-to-right IEEE-754 addition order —
-        and therefore every bit of the result — matches the scalar path.
-        The per-pane max fold collapses to one fold plus one compare per
-        pane, gated on plain-numeric values (see
-        :meth:`_columnar_run_max`).
         """
         if not self._fast_agg:
             for idx in range(lo, hi):
                 self.on_record(records[idx], instance)
             return
-        cols = added_all = buckets_all = None
-        if (hi - lo >= _COLUMNAR_MIN_BATCH
-                and getattr(instance.job, "columnar_active", False)):
-            from .records import RecordBatch
-            cols = RecordBatch(records[lo:hi]).columns()
-            if cols is not None:
-                # One vector multiply for every member's byte increment;
-                # each element equals the scalar path's ``bpr * count``
-                # exactly (same IEEE-754 double multiply).
-                added_all = self.bytes_per_record * cols.count
-                # Batch-wide slide buckets in one vectorized pass:
-                # float64 divide + floor + int64 narrowing produce the
-                # same integers as per-record ``math.floor(t / slide)``
-                # (identical IEEE-754 divide, values far below 2^53).
-                buckets_all = _np.floor(
-                    cols.event_time / self.slide).astype(
-                        _np.int64).tolist()
         by_kg: dict = {}
-        by_pos: dict = {}
         for idx in range(lo, hi):
             rec = records[idx]
             kg = rec.key_group
             lst = by_kg.get(kg)
             if lst is None:
                 by_kg[kg] = [rec]
-                if cols is not None:
-                    by_pos[kg] = [idx - lo]
             else:
                 lst.append(rec)
-                if cols is not None:
-                    by_pos[kg].append(idx - lo)
         state = instance.state
         groups = state._groups
         memo = self._starts_memo
@@ -278,22 +210,15 @@ class SlidingWindowAggregateLogic(OperatorLogic):
             floor = fire_floor.get(kg)
             if floor is not None and floor[0] != group.version:
                 floor = None
-            pos = by_pos.get(kg) if cols is not None else None
             m = len(recs)
             a = 0
             while a < m:
                 rec = recs[a]
-                if pos is not None:
-                    bucket = buckets_all[pos[a]]
-                    b = a + 1
-                    while b < m and buckets_all[pos[b]] == bucket:
-                        b += 1
-                else:
-                    bucket = floor_of(rec.event_time / slide)
-                    b = a + 1
-                    while b < m and floor_of(recs[b].event_time
-                                             / slide) == bucket:
-                        b += 1
+                bucket = floor_of(rec.event_time / slide)
+                b = a + 1
+                while b < m and floor_of(recs[b].event_time
+                                         / slide) == bucket:
+                    b += 1
                 pane_keys = memo.get(bucket)
                 if pane_keys is None:
                     pane_keys = [("pane", start) for start in
@@ -314,35 +239,6 @@ class SlidingWindowAggregateLogic(OperatorLogic):
                         if floor is not None and pane_key[1] < floor[1]:
                             floor[1] = pane_key[1]
                     panes.append(pane)
-                run = b - a
-                runmax = None
-                if cols is not None and run >= _COLUMNAR_MIN_RUN:
-                    runmax = self._columnar_run_max(recs, a, b, panes)
-                if runmax is not None:
-                    seg = pos[a:b]
-                    added_seg = added_all[seg]
-                    total = int(cols.count[seg].sum())
-                    chain = _np.empty(run + 1)
-                    for pane in panes:
-                        pane[_P_COUNT] += total
-                        current = pane[_P_VALUE]
-                        if current is None or runmax > current:
-                            pane[_P_VALUE] = runmax
-                        chain[0] = pane[_P_BYTES]
-                        chain[1:] = added_seg
-                        pane[_P_BYTES] = float(
-                            _np.add.accumulate(chain)[-1])
-                    gchain = _np.empty(run)
-                    # The run's first member keeps the scalar association
-                    # for the pane-creation byte charge: gsb + (added*npk
-                    # + new_panes*bpe) as one sum, then per-member adds.
-                    gchain[0] = gsb + (float(added_seg[0]) * npk
-                                       + new_panes * bpe)
-                    if run > 1:
-                        gchain[1:] = added_seg[1:] * npk
-                    gsb = float(_np.add.accumulate(gchain)[-1])
-                    a = b
-                    continue
                 for idx in range(a, b):
                     rec = recs[idx]
                     count = rec.count

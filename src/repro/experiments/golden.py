@@ -82,14 +82,12 @@ def capture_q7_trace(system: Optional[str] = "drrs",
                      post: float = 25.0,
                      new_parallelism: int = 12,
                      telemetry: bool = False,
-                     record_plane: Optional[str] = None,
-                     scheduler: Optional[str] = None) -> Dict[str, Any]:
+                     record_plane: Optional[str] = None) -> Dict[str, Any]:
     """Run a NEXMark Q7 scenario (optionally under a DRRS rescale) and
     return its semantic trace document.
 
-    ``record_plane`` selects "batched"/"columnar"/"single" and
-    ``scheduler`` selects "heap"/"calendar" (None = engine default); the
-    semantic subtree must be identical for every combination.
+    ``record_plane`` selects "batched" or "single" (None = engine
+    default); the semantic subtree must be identical for both.
     """
     from .figures import controller_factory
 
@@ -101,7 +99,6 @@ def capture_q7_trace(system: Optional[str] = "drrs",
         warmup=warmup,
         post_duration=post,
         record_plane=record_plane,
-        scheduler=scheduler,
         label=f"golden-q7/{system or 'no-scale'}",
         telemetry=telemetry)
     result = run_experiment(config)
@@ -132,7 +129,6 @@ def capture_q7_trace(system: Optional[str] = "drrs",
             "kernel_events": job.sim.events_processed,
             "record_plane": job.config.record_plane,
             "max_batch_size": job.config.max_batch_size,
-            "scheduler": job.sim.scheduler,
         },
     }
     return doc

@@ -53,8 +53,6 @@ class ExperimentConfig:
     #: batch-size cap).  Ignored when an explicit job_config is given.
     record_plane: Optional[str] = None
     max_batch_size: Optional[int] = None
-    #: Kernel scheduler override ("heap"/"calendar"); None = engine default.
-    scheduler: Optional[str] = None
     #: Keyed-state backend override ("dict"/"changelog"); None = engine
     #: default.  Like the other knobs, ignored when an explicit
     #: ``job_config`` is given.
@@ -99,12 +97,6 @@ class ExperimentConfig:
                 "max_batch_size must be an integer in "
                 f"[1, {JobConfig.MAX_BATCH_SIZE_LIMIT}] or None, "
                 f"got {self.max_batch_size!r}")
-        if (self.scheduler is not None
-                and self.scheduler not in JobConfig.SCHEDULERS):
-            raise ValueError(
-                f"unknown scheduler: {self.scheduler!r} "
-                f"(expected one of: {', '.join(JobConfig.SCHEDULERS)} "
-                "— or None for the engine default)")
         if (self.state_backend is not None
                 and self.state_backend not in JobConfig.STATE_BACKENDS):
             raise ValueError(
@@ -313,15 +305,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     job_config = config.job_config
     if job_config is None and (config.record_plane is not None
                                or config.max_batch_size is not None
-                               or config.scheduler is not None
                                or config.state_backend is not None):
         overrides = {}
         if config.record_plane is not None:
             overrides["record_plane"] = config.record_plane
         if config.max_batch_size is not None:
             overrides["max_batch_size"] = config.max_batch_size
-        if config.scheduler is not None:
-            overrides["scheduler"] = config.scheduler
         if config.state_backend is not None:
             overrides["state_backend"] = config.state_backend
         job_config = JobConfig(**overrides)

@@ -41,8 +41,9 @@ __all__ = ["BENCH_SCALES", "run_kernel_bench", "run_e2e_bench",
 #: suppressed, grant rounds, cut-edge bytes shipped, per-shard blocked
 #: waits, spills, fallbacks, adaptive-quantum trajectory).  The former
 #: ``SHARD_INBOX_CAPACITY`` module constant is now
-#: ``JobConfig.shard_inbox_capacity`` (env ``REPRO_SHARD_INBOX``).
-BENCH_SCHEMA = "repro-bench/5"
+#: ``JobConfig.shard_inbox_capacity`` (env ``REPRO_SHARD_INBOX``).  /6
+#: dropped ``scheduler``/``columnar_available`` and ``timeout_storm_calendar``.
+BENCH_SCHEMA = "repro-bench/6"
 
 #: Host-cost operator weights for the shard partitioner, calibrated by
 #: profiling the paper-tier runs (per-record session-window work makes
@@ -93,15 +94,9 @@ def _timed(fn):
 # Kernel benches
 # ---------------------------------------------------------------------------
 
-def bench_timeout_storm(procs: int, rounds: int,
-                        scheduler: str = "heap") -> Dict[str, float]:
-    """Many processes sleeping on timeouts: pure queue + resume throughput.
-
-    Run under both event schedulers this doubles as the scheduler
-    microbench — the timer population here is exactly the regime the
-    calendar queue exists for.
-    """
-    sim = Simulator(scheduler=scheduler)
+def bench_timeout_storm(procs: int, rounds: int) -> Dict[str, float]:
+    """Many processes sleeping on timeouts: pure queue + resume throughput."""
+    sim = Simulator()
 
     def worker(delay):
         for _ in range(rounds):
@@ -365,7 +360,6 @@ def _reduce_runs(fn, args, best_of: int, stat: str) -> Dict[str, float]:
 def _engine_config(shards: int = 1, transport: Optional[str] = None,
                    inbox: Optional[int] = None) -> Dict[str, Any]:
     """The engine settings the e2e scenarios run under."""
-    from ..engine.columnar import HAVE_NUMPY
     from ..engine.runtime import JobConfig
 
     config = JobConfig(shard_inbox_capacity=inbox,
@@ -374,8 +368,6 @@ def _engine_config(shards: int = 1, transport: Optional[str] = None,
                        else config.inbox_capacity)
     return {"record_plane": config.record_plane,
             "max_batch_size": config.max_batch_size,
-            "scheduler": config.scheduler,
-            "columnar_available": HAVE_NUMPY,
             "shards": shards,
             "inbox_capacity": effective_inbox,
             "shard_transport": config.shard_transport}
@@ -397,11 +389,6 @@ def run_kernel_bench(scale: str = "full", best_of: int = BEST_OF,
     results = {
         "timeout_storm": _reduce_runs(bench_timeout_storm, storm_args,
                                       best_of, stat),
-        # Scheduler microbench: the identical timer storm under the
-        # calendar queue — the heap/calendar ratio at this scale is the
-        # number the `scheduler` config knob trades on.
-        "timeout_storm_calendar": _reduce_runs(
-            bench_timeout_storm, storm_args + ("calendar",), best_of, stat),
         "callback_chain": _reduce_runs(bench_callback_chain,
                                        (params["callback_chain"],),
                                        best_of, stat),
@@ -606,18 +593,18 @@ def compare_bench_docs(current: Dict[str, Any], baseline: Dict[str, Any],
 
 
 #: Config keys whose mismatch makes a bench comparison apples-to-oranges.
-_CONFIG_COMPARE_KEYS = ("scheduler", "record_plane", "max_batch_size",
-                        "shards", "inbox_capacity", "shard_transport")
+_CONFIG_COMPARE_KEYS = ("record_plane", "max_batch_size", "shards",
+                        "inbox_capacity", "shard_transport")
 
 
 def config_mismatch_warnings(current: Dict[str, Any],
                              baseline: Dict[str, Any]) -> List[str]:
     """Warnings for engine-config differences between two bench docs.
 
-    A delta between runs under different schedulers, record planes, or
-    shard counts measures the *config*, not the code under test; callers
-    should surface both configs next to the delta table instead of
-    comparing silently.  Keys absent from one doc (older schemas) are
+    A delta between runs under different record planes or shard counts
+    measures the *config*, not the code under test; callers should
+    surface both configs next to the delta table instead of comparing
+    silently.  Keys absent from one doc (older schemas) are
     reported as unrecorded rather than assumed equal.
     """
     ours = current.get("config") or {}

@@ -33,23 +33,13 @@ Hot-path notes (see ``docs/performance.md``):
   not count toward ``events_processed``, and dispatch targets that detect a
   superseded schedule position call :meth:`Simulator.discount` so stale
   no-op pops do not inflate the count either.
-* The pending-event queue is pluggable (``Simulator(scheduler=...)``):
-  ``"heap"`` is the classic binary heap, ``"calendar"`` the
-  calendar-queue / bucketed-wheel scheduler in
-  :mod:`repro.simulation.calqueue`.  Both dispatch in exactly the same
-  ``(time, counter)`` order, so traces are bit-identical; every schedule
-  site pushes through ``sim._push(sim._heap, item)`` to stay
-  scheduler-agnostic.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import os
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
-
-from .calqueue import CalendarQueue, cq_push
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Event",
@@ -57,16 +47,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Interrupt",
-    "SCHEDULERS",
 ]
-
-#: Supported pending-event queue implementations.
-SCHEDULERS = ("heap", "calendar")
-
-
-def _default_scheduler() -> str:
-    """Process-wide default, overridable via ``REPRO_SCHEDULER``."""
-    return os.environ.get("REPRO_SCHEDULER", "heap")
 
 
 class SimulationError(RuntimeError):
@@ -175,7 +156,7 @@ class Event:
         self._value = value
         self._ok = True
         sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), self))
+        heappush(sim._heap, (sim._now, next(sim._counter), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -188,7 +169,7 @@ class Event:
         self._value = exception
         self._ok = False
         sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), self))
+        heappush(sim._heap, (sim._now, next(sim._counter), self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -197,7 +178,7 @@ class Event:
             # Already processed: run at the current time, preserving ordering
             # relative to other same-time activity via the event heap.
             sim = self.sim
-            sim._push(
+            heappush(
                 sim._heap,
                 (sim._now, next(sim._counter),
                  _Callback(lambda: callback(self))))
@@ -314,7 +295,7 @@ class Process(Event):
         start = Event(sim)
         start._triggered = True
         start.callbacks.append(self._resume)
-        sim._push(sim._heap, (sim._now, next(sim._counter), start))
+        heappush(sim._heap, (sim._now, next(sim._counter), start))
 
     @property
     def is_alive(self) -> bool:
@@ -357,7 +338,7 @@ class Process(Event):
         wake._value = Interrupt(cause)
         wake.callbacks.append(self._resume)
         sim = self.sim
-        sim._push(sim._heap, (sim._now, next(sim._counter), wake))
+        heappush(sim._heap, (sim._now, next(sim._counter), wake))
 
     def _resume(self, event: Event) -> None:
         if self._triggered:  # finished while the wake-up was in flight
@@ -389,7 +370,7 @@ class Process(Event):
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
                 sim = self.sim
-                sim._push(
+                heappush(
                     sim._heap,
                     (sim._now + target, next(sim._counter), entry))
                 return
@@ -407,7 +388,7 @@ class Process(Event):
                     entry = self._timeout_entry = _Callback(
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
-                sim._push(
+                heappush(
                     sim._heap, (when, next(sim._counter), entry))
                 return
             if not isinstance(target, Event):
@@ -441,33 +422,11 @@ class Simulator:
     """The event loop: owns simulated time and the pending-event queue."""
 
     __slots__ = ("_now", "_heap", "_counter", "_event_count",
-                 "dispatch_probe", "discount_probe", "_done", "_push",
-                 "scheduler")
+                 "dispatch_probe", "discount_probe", "_done")
 
-    def __init__(self, scheduler: Optional[str] = None):
-        from_env = scheduler is None
-        if from_env:
-            scheduler = _default_scheduler()
-        if scheduler not in SCHEDULERS:
-            # Same wording as JobConfig.scheduler validation, so callers
-            # see one error shape whether the bad value arrived via config
-            # or via the REPRO_SCHEDULER environment variable.
-            source = " (from REPRO_SCHEDULER)" if from_env else ""
-            raise ValueError(
-                f"unknown scheduler{source}: {scheduler!r} "
-                f"(expected one of: {', '.join(SCHEDULERS)})")
-        #: Which pending-event queue implementation this simulator runs on
-        #: ("heap" or "calendar").  Dispatch order is identical; only the
-        #: data structure (and its scaling behaviour) differs.
-        self.scheduler = scheduler
+    def __init__(self):
         self._now = 0.0
-        if scheduler == "calendar":
-            self._heap: Any = CalendarQueue()
-            self._push: Callable[[Any, Tuple[float, int, Any]], None] = \
-                cq_push
-        else:
-            self._heap = []
-            self._push = heapq.heappush
+        self._heap: List[Any] = []
         self._counter = itertools.count()
         self._event_count = 0
         #: Optional zero-arg telemetry hook invoked once per dispatched
@@ -547,7 +506,7 @@ class Simulator:
         ev = Event(self)
         ev._triggered = True
         ev._value = value
-        self._push(self._heap, (self._now, next(self._counter), ev))
+        heappush(self._heap, (self._now, next(self._counter), ev))
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Event:
@@ -557,7 +516,7 @@ class Simulator:
         ev = Event(self)
         ev._scheduled = True
         ev._value = value
-        self._push(self._heap, (self._now + delay, next(self._counter), ev))
+        heappush(self._heap, (self._now + delay, next(self._counter), ev))
         return ev
 
     def any_of(self, events: Iterable[Event]) -> Event:
@@ -581,8 +540,8 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when}; now is {self._now}")
-        self._push(self._heap,
-                   (when, next(self._counter), _Callback(callback)))
+        heappush(self._heap,
+                 (when, next(self._counter), _Callback(callback)))
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` ``delay`` seconds from now."""
@@ -600,12 +559,12 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when}; now is {self._now}")
-        self._push(self._heap, (when, next(self._counter), entry))
+        heappush(self._heap, (when, next(self._counter), entry))
 
     # -- scheduling internals ----------------------------------------------
 
     def _schedule_event(self, event: Event) -> None:
-        self._push(self._heap, (self._now, next(self._counter), event))
+        heappush(self._heap, (self._now, next(self._counter), event))
 
     # -- execution -----------------------------------------------------------
 
@@ -616,36 +575,19 @@ class Simulator:
         as a processed event.
         """
         heap = self._heap
-        if type(heap) is list:
-            while heap:
-                when, _seq, entry = heapq.heappop(heap)
-                if entry._defunct:
-                    continue
-                if when < self._now:
-                    raise SimulationError("event heap went backwards in time")
-                self._now = when
-                self._event_count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                return True
-            return False
-        while True:
-            item = heap.pop()
-            if item is None:
-                return False
-            entry = item[2]
+        while heap:
+            when, _seq, entry = heappop(heap)
             if entry._defunct:
                 continue
-            when = item[0]
             if when < self._now:
-                raise SimulationError("event queue went backwards in time")
+                raise SimulationError("event heap went backwards in time")
             self._now = when
             self._event_count += 1
             if self.dispatch_probe is not None:
                 self.dispatch_probe()
             entry._dispatch()
             return True
+        return False
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time passes ``until``.
@@ -658,9 +600,7 @@ class Simulator:
         re-checking ``until`` preserves tie-break order exactly.
         """
         heap = self._heap
-        if type(heap) is not list:
-            return self._run_calendar(until)
-        pop = heapq.heappop
+        pop = heappop
         count = 0
         try:
             if self.dispatch_probe is None:
@@ -744,89 +684,9 @@ class Simulator:
         finally:
             self._event_count += count
 
-    def _run_calendar(self, until: Optional[float]) -> float:
-        """Calendar-queue run loop; same dispatch order as the heap loop.
-
-        ``pop``/``peek_time`` replace ``heappop``/``heap[0][0]``; the
-        equal-time inner drain and defunct skipping are structured exactly
-        as in :meth:`run`, so pop order — and therefore every trace — is
-        bit-identical between the two schedulers.
-        """
-        q = self._heap
-        q_pop = q.pop
-        q_pop_at = q.pop_at
-        q_pop_le = q.pop_le
-        count = 0
-        try:
-            if until is None:
-                while True:
-                    item = q_pop()
-                    if item is None:
-                        break
-                    entry = item[2]
-                    if entry._defunct:
-                        continue
-                    when = item[0]
-                    self._now = when
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-                    # Batched same-time pops: drain the equal-time run.
-                    while True:
-                        item = q_pop_at(when)
-                        if item is None:
-                            break
-                        entry = item[2]
-                        if entry._defunct:
-                            continue
-                        count += 1
-                        if self.dispatch_probe is not None:
-                            self.dispatch_probe()
-                        entry._dispatch()
-                return self._now
-            while True:
-                item = q_pop_le(until)
-                if item is None:
-                    break
-                entry = item[2]
-                if entry._defunct:
-                    continue
-                when = item[0]
-                self._now = when
-                count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                while True:
-                    item = q_pop_at(when)
-                    if item is None:
-                        break
-                    entry = item[2]
-                    if entry._defunct:
-                        continue
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-            if self._now < until:
-                self._now = until
-            return self._now
-        finally:
-            self._event_count += count
-
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
         heap = self._heap
-        if type(heap) is list:
-            while heap and heap[0][2]._defunct:
-                heapq.heappop(heap)
-            return heap[0][0] if heap else float("inf")
-        while True:
-            item = heap.peek_item()
-            if item is None:
-                return float("inf")
-            if item[2]._defunct:
-                heap.pop()
-                continue
-            return item[0]
+        while heap and heap[0][2]._defunct:
+            heappop(heap)
+        return heap[0][0] if heap else float("inf")

@@ -24,7 +24,7 @@ synchronizes the workers conservatively (Chandy–Misra–Bryant style):
   every cut channel is preserved.
 
 **Transports.**  The default data plane (``transport="shm"``) ships each
-flush as a columnar frame (:mod:`repro.engine.frames`) through a
+flush as a column-packed frame (:mod:`repro.engine.frames`) through a
 shared-memory SPSC ring (:mod:`repro.simulation.shm_ring`) per cut shard
 pair — record batches cross as seven packed numeric columns plus one
 pickle per frame, watermarks as pure structs.  Grants piggyback on data
@@ -304,22 +304,16 @@ class _Egress:
     credit) one serialization + propagation earlier.
     """
 
-    __slots__ = ("cid", "sim", "buf", "latency", "bw", "debits",
-                 "strip_columns")
+    __slots__ = ("cid", "sim", "buf", "latency", "bw", "debits")
 
     def __init__(self, cid: int, sim, buf: List, latency: float, bw: float,
-                 debits: List, strip_columns: bool = True):
+                 debits: List):
         self.cid = cid
         self.sim = sim
         self.buf = buf
         self.latency = latency
         self.bw = bw
         self.debits = debits
-        #: Pipe transport pickles the whole batch — drop any cached numpy
-        #: view first (it would be pickled redundantly).  The shm codec
-        #: instead *reuses* the column cache (``tobytes`` is a memcpy), so
-        #: it keeps the view.
-        self.strip_columns = strip_columns
 
     def deliver(self, element) -> None:
         now = self.sim._now
@@ -328,8 +322,6 @@ class _Egress:
         self.buf.append(("e", self.cid, now, element))
 
     def deliver_batch(self, batch) -> None:
-        if self.strip_columns:
-            batch._columns = None  # numpy views don't cross the pipe
         head = batch.records[0]
         when = (batch.visible_times[0] - self.latency
                 - head.size_bytes / self.bw)
@@ -583,9 +575,7 @@ def _localize(job, spec: ShardSpec):
             buf = egress_buffers.setdefault(d, [])
             debit = debits.setdefault(cid, [])
             ch.input_channel = _Egress(cid, job.sim, buf, ch.link.latency,
-                                       ch.link.bandwidth, debit,
-                                       strip_columns=(
-                                           spec.transport != "shm"))
+                                       ch.link.bandwidth, debit)
             ch.credits = float("inf")
         elif d == me:
             feed = _IngressFeed(cid, job.sim, ch.link)

@@ -1,4 +1,4 @@
-"""Columnar cut-edge frame codec: bit-exact roundtrips and fallbacks.
+"""Cut-edge frame codec: bit-exact roundtrips and fallbacks.
 
 The codec's contract is that a decoded element is indistinguishable from
 its pipe-transported (pickled) twin — these tests compare field-by-field
@@ -70,16 +70,6 @@ class TestBatchRoundtrip:
         _, _, [(_, _, _, decoded)] = decode_frame(
             encode_frame([("b", 1, 0.5, batch)], grant=0.0))
         _assert_batches_equal(batch, decoded)
-
-    def test_columnar_cache_and_struct_paths_agree(self):
-        # encoding with a warmed numpy column cache must produce a frame
-        # that decodes identically to the cold (struct) path
-        warmed = _mkbatch(visible=True)
-        cold = _mkbatch(visible=True)
-        warmed.columns()
-        _, _, [(_, _, _, via_cols)] = decode_frame(
-            encode_frame([("b", 1, 0.5, warmed)], grant=0.0))
-        _assert_batches_equal(cold, via_cols)
 
     def test_float_bit_exactness(self):
         # values that don't survive repr round-trips still cross exactly

@@ -1,10 +1,15 @@
 """Sliding-window aggregation and windowed join."""
 
+import random
+import struct
+import types
+
 import pytest
 
 from repro.engine import (JobGraph, OperatorSpec, Partitioning, Record,
                           SlidingWindowAggregateLogic, StreamJob, Watermark,
                           WindowedJoinLogic)
+from repro.engine.state import KeyedStateBackend
 from repro.engine.windows import _window_starts
 
 
@@ -145,3 +150,93 @@ def test_join_rejects_bad_window():
         WindowedJoinLogic(size=0)
     with pytest.raises(ValueError):
         WindowedJoinLogic(size=5, slide=10)
+
+
+# -- on_record_batch: bit-identical to per-record on_record ------------------
+
+def _bare_instance():
+    return types.SimpleNamespace(state=KeyedStateBackend())
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return ("f", struct.pack("<d", value))
+    return value
+
+
+def _state_snapshot(inst):
+    """Keyed state at float-bit granularity (0.0 vs -0.0, NaN-safe)."""
+    snap = {}
+    for group in inst.state.groups():
+        entries = sorted(
+            (key, tuple(_bits(v) for v in pane))
+            for key, pane in group.entries.items())
+        snap[group.key_group] = (_bits(group.size_bytes), entries)
+    return snap
+
+
+def _make_batch(rng, n, num_kgs=4, runs=False):
+    records = []
+    t = rng.uniform(0.0, 50.0)
+    for i in range(n):
+        if runs and i % 2 == 0:
+            # bias towards same-(kg, bucket) runs so the hoisted per-run
+            # pane lookups actually execute
+            kg = 1
+            event_time = 40.0 + rng.uniform(0.0, 1.5)
+        else:
+            kg = rng.randrange(num_kgs)
+            event_time = t + rng.uniform(0.0, 30.0)
+        value = rng.choice(
+            [None, rng.uniform(-5.0, 5.0), rng.randrange(100), 0.1 * i])
+        records.append(Record(key=f"k{kg}", key_group=kg,
+                              event_time=event_time,
+                              count=rng.randrange(1, 5), value=value))
+    return records
+
+
+def _assert_batch_matches_scalar(batches, size=8.0, slide=2.0, bpr=7.3):
+    """Apply ``batches`` per record and per batch; the keyed state must
+    stay bit-identical after every batch."""
+    scalar = SlidingWindowAggregateLogic(size=size, slide=slide,
+                                         bytes_per_record=bpr)
+    batched = SlidingWindowAggregateLogic(size=size, slide=slide,
+                                          bytes_per_record=bpr)
+    i_scalar = _bare_instance()
+    i_batched = _bare_instance()
+    for batch in batches:
+        for rec in batch:
+            scalar.on_record(rec, i_scalar)
+        batched.on_record_batch(batch, 0, len(batch), i_batched)
+        assert _state_snapshot(i_batched) == _state_snapshot(i_scalar)
+
+
+def test_randomized_batches_bit_exact():
+    rng = random.Random(1234)
+    for trial in range(10):
+        batches = [_make_batch(rng, rng.randrange(1, 40),
+                               runs=bool(trial % 2))
+                   for _ in range(rng.randrange(1, 6))]
+        _assert_batch_matches_scalar(batches)
+
+
+def test_batch_path_matches_scalar():
+    """Default ``bytes_per_record``: the grouped batch path is still
+    bit-identical to per-record application."""
+    rng = random.Random(3)
+    _assert_batch_matches_scalar(
+        [_make_batch(rng, 16, runs=True) for _ in range(5)], bpr=512.0)
+
+
+def test_mixed_type_values_match_scalar():
+    """Non-numeric/bool/NaN aggregate values keep the scalar try/except,
+    first-write-wins semantics on the batch path."""
+    rng = random.Random(9)
+    specials = ["zz", True, float("nan"), None, 3, 2.5]
+    batches = []
+    for _ in range(4):
+        batch = _make_batch(rng, 20, runs=True)
+        for rec in batch:
+            rec.value = rng.choice(specials)
+        batches.append(batch)
+    _assert_batch_matches_scalar(batches)

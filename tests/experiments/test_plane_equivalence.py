@@ -8,10 +8,25 @@ digests, scaling metrics, per-instance counters) and the chaos invariant
 reports (checkpoint recoveries included) to match exactly.
 """
 
+import pytest
+
 from repro.engine.runtime import JobConfig
 from repro.experiments.chaos_bank import CHAOS_SCENARIOS, _crash_mid_subscale
 from repro.experiments.golden import capture_q7_trace
+from repro.experiments.harness import ExperimentConfig
+from repro.experiments.scenarios import QUICK, make_workload
 from repro.faults.chaos import ChaosHarness, ChaosScenario
+
+
+def test_job_config_rejects_retired_columnar_plane():
+    with pytest.raises(ValueError, match=r"'columnar'.*batched, single\)"):
+        JobConfig(record_plane="columnar")
+
+
+def test_experiment_config_rejects_retired_columnar_plane():
+    with pytest.raises(ValueError, match=r"'columnar'.*batched, single "):
+        ExperimentConfig(workload=make_workload("q7", QUICK),
+                         record_plane="columnar")
 
 
 def test_q7_drrs_rescale_planes_equivalent():
@@ -20,29 +35,6 @@ def test_q7_drrs_rescale_planes_equivalent():
     assert batched["info"]["record_plane"] == "batched"
     assert single["info"]["record_plane"] == "single"
     assert batched["semantic"] == single["semantic"]
-
-
-def test_q7_drrs_rescale_columnar_equivalent():
-    columnar = capture_q7_trace(record_plane="columnar")
-    single = capture_q7_trace(record_plane="single")
-    assert columnar["info"]["record_plane"] == "columnar"
-    assert columnar["semantic"] == single["semantic"]
-
-
-def test_chaos_crash_mid_subscale_columnar_equivalent():
-    """Fault window + checkpoint barrier + recovery explode, columnar."""
-    batched = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
-                           seed=7).run()
-    columnar_scenario = ChaosScenario(
-        "crash-mid-subscale-columnar",
-        lambda seed: _crash_mid_subscale(
-            seed, job_config=JobConfig(record_plane="columnar")),
-        "crash-mid-subscale forced onto the columnar plane")
-    columnar = ChaosHarness(columnar_scenario, seed=7).run()
-    assert batched.passed and columnar.passed
-    b, c = batched.to_dict(), columnar.to_dict()
-    b.pop("scenario"), c.pop("scenario")
-    assert b == c
 
 
 def test_q7_noscale_planes_equivalent():

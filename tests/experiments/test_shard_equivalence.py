@@ -119,7 +119,7 @@ def test_supports_sharding_gate_matches_fallbacks():
 
 
 # ---------------------------------------------------------------------------
-# Transport matrix: the shm columnar data plane vs the pipe baseline
+# Transport matrix: the shm frame data plane vs the pipe baseline
 # ---------------------------------------------------------------------------
 
 def _run_transport(workload_cls, transport, *, until, shards):

@@ -353,32 +353,3 @@ def test_schedule_entry_past_raises():
 
     sim.spawn(proc())
     sim.run()
-
-
-class TestSchedulerValidation:
-    """Unknown scheduler names fail fast at Simulator construction with a
-    clear ValueError, whether passed directly or via REPRO_SCHEDULER."""
-
-    def test_direct_unknown_scheduler(self):
-        with pytest.raises(ValueError, match=r"unknown scheduler: 'splay'"):
-            Simulator(scheduler="splay")
-
-    def test_error_lists_supported_schedulers(self):
-        with pytest.raises(ValueError, match=r"heap.*calendar"):
-            Simulator(scheduler="fifo")
-
-    def test_env_unknown_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-        with pytest.raises(
-                ValueError,
-                match=r"unknown scheduler \(from REPRO_SCHEDULER\): 'wheel'"):
-            Simulator()
-
-    def test_env_does_not_shadow_explicit_argument(self, monkeypatch):
-        # a bad env value must not poison explicitly-configured simulators
-        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-        assert Simulator(scheduler="calendar").scheduler == "calendar"
-
-    def test_env_valid_value_selects_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert Simulator().scheduler == "calendar"
