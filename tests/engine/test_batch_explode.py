@@ -7,6 +7,7 @@ come back out with identity, order and per-record delivery times intact.
 """
 
 import sys
+from types import SimpleNamespace
 
 sys.path.insert(0, "tests")
 from helpers import build_keyed_job, drive  # noqa: E402
@@ -28,13 +29,18 @@ class _Receiver:
         pass
 
 
-def _wire_channel():
-    """A batching channel into a bare receiver, outside any StreamJob."""
+def _wire_channel(job=None):
+    """A batching channel into a bare receiver, outside any StreamJob.
+
+    ``job`` stands in for the owning job the channel consults for
+    ``scaling_active`` before it forms a batch.
+    """
     sim = Simulator()
     channel = Channel(sim, LinkSpec(bandwidth=1e6, latency=0.001),
                       name="t", outbox_capacity=64, inbox_capacity=64)
     channel.batching = True
     channel.max_batch = 32
+    channel._job = job
     receiver = _Receiver(sim)
     input_channel = InputChannel(receiver, name="t-in")
     channel.attach(input_channel)
@@ -53,8 +59,8 @@ def _send_records(sim, channel, n):
     return records
 
 
-def test_materialize_roundtrip_batched():
-    sim, channel, input_channel = _wire_channel()
+def _materialize_roundtrip(job=None):
+    sim, channel, input_channel = _wire_channel(job=job)
     records = _send_records(sim, channel, 20)
     # Run just long enough for a carrier to be queued with some members
     # still invisible (per-record plane would not have delivered them yet).
@@ -79,6 +85,20 @@ def test_materialize_roundtrip_batched():
     delivered = [e.record_id for e in input_channel.queue
                  if isinstance(e, Record)]
     assert delivered == [rec.record_id for rec in records]
+
+
+def test_materialize_roundtrip_batched():
+    _materialize_roundtrip()
+
+
+def test_materialize_roundtrip_columnar():
+    """The job-attached path the retired columnar carriers were formed on.
+
+    Under a non-scaling owning job the channel still forms carriers; they
+    are plain batches with no cached column view, and the round trip holds.
+    """
+    _materialize_roundtrip(job=SimpleNamespace(scaling_active=0))
+    assert not hasattr(RecordBatch, "columns")
 
 
 def test_batches_never_cross_a_watermark():

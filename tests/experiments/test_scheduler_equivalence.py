@@ -1,60 +1,34 @@
-"""Scheduler × record-plane matrix: one semantic truth, four executions.
+"""Scheduler × record-plane matrix: one semantic truth, every execution.
 
-The calendar-queue scheduler and the columnar plane are both pure
-wall-clock optimizations, so every combination of
-``scheduler ∈ {heap, calendar}`` × ``record_plane ∈ {batched, columnar}``
-(plus the per-record reference) must reproduce the same golden semantic
-subtree and the same chaos invariant reports bit-for-bit.
+The simulator has a single event scheduler (the binary-heap queue), so
+what stays of the matrix is that scheduler under every record plane
+``JobConfig`` accepts, plus the engine default (``record_plane=None``).
+Each execution must reproduce the per-record reference's golden semantic
+subtree bit-for-bit.
 """
 
-import pytest
-
 from repro.engine.runtime import JobConfig
-from repro.experiments.chaos_bank import CHAOS_SCENARIOS, _crash_mid_subscale
 from repro.experiments.golden import capture_q7_trace
-from repro.faults.chaos import ChaosHarness, ChaosScenario
+from repro.simulation import Simulator
 
-COMBOS = [("heap", "batched"), ("heap", "columnar"),
-          ("calendar", "batched"), ("calendar", "columnar")]
+PLANES = (None,) + JobConfig.RECORD_PLANES
 
 
 def test_q7_rescale_identical_across_scheduler_plane_matrix():
-    reference = capture_q7_trace(record_plane="single", scheduler="heap")
-    for scheduler, plane in COMBOS:
-        trace = capture_q7_trace(record_plane=plane, scheduler=scheduler)
-        assert trace["info"]["scheduler"] == scheduler
-        assert trace["info"]["record_plane"] == plane
+    assert not hasattr(Simulator(), "scheduler")
+    reference = capture_q7_trace(record_plane="single")
+    for plane in PLANES:
+        trace = capture_q7_trace(record_plane=plane)
+        assert trace["info"]["record_plane"] == \
+            (plane or JobConfig.record_plane)
+        assert "scheduler" not in trace["info"]
         assert trace["semantic"] == reference["semantic"], \
-            f"semantic drift under scheduler={scheduler}, plane={plane}"
+            f"semantic drift under plane={plane}"
 
 
 def test_q7_noscale_identical_across_scheduler_plane_matrix():
-    reference = capture_q7_trace(system=None, record_plane="single",
-                                 scheduler="heap")
-    for scheduler, plane in COMBOS:
-        trace = capture_q7_trace(system=None, record_plane=plane,
-                                 scheduler=scheduler)
+    reference = capture_q7_trace(system=None, record_plane="single")
+    for plane in PLANES:
+        trace = capture_q7_trace(system=None, record_plane=plane)
         assert trace["semantic"] == reference["semantic"], \
-            f"semantic drift under scheduler={scheduler}, plane={plane}"
-
-
-@pytest.mark.parametrize("plane", ["batched", "columnar"])
-def test_chaos_crash_mid_subscale_identical_under_calendar(plane):
-    """The §IV-C acceptance scenario: calendar × plane vs the heap run.
-
-    Fault windows force the plane to collapse to per-record eventing, so
-    this exercises the explode path under the calendar scheduler too.
-    """
-    reference = ChaosHarness(CHAOS_SCENARIOS["crash-mid-subscale"],
-                             seed=7).run()
-    scenario = ChaosScenario(
-        f"crash-mid-subscale-calendar-{plane}",
-        lambda seed: _crash_mid_subscale(
-            seed, job_config=JobConfig(record_plane=plane,
-                                       scheduler="calendar")),
-        "crash-mid-subscale under the calendar-queue scheduler")
-    run = ChaosHarness(scenario, seed=7).run()
-    assert reference.passed and run.passed
-    ref_doc, doc = reference.to_dict(), run.to_dict()
-    ref_doc.pop("scenario"), doc.pop("scenario")
-    assert doc == ref_doc
+            f"semantic drift under plane={plane}"
