@@ -459,11 +459,12 @@ class Channel:
     def _kick(self) -> None:
         """Wake the drainer (the old drain Signal's ``fire()``).
 
-        The wake-up must go through the heap, not run inline: an element
-        sent at time T stays in the output cache until the drain *event*
-        dispatches, so same-timestamp ``send_front``/``inject_confirm``/
-        ``extract_outbox`` can still overtake or redirect it — the cache
-        semantics every bypass protocol in the paper relies on.
+        The wake-up must go through the event queue, not run inline: an
+        element sent at time T stays in the output cache until the drain
+        *event* dispatches, so same-timestamp ``send_front``/
+        ``inject_confirm``/``extract_outbox`` can still overtake or redirect
+        it — the cache semantics every bypass protocol in the paper relies
+        on.
 
         Two classes of wake-up are dropped without scheduling anything:
 

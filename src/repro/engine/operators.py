@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..simulation.kernel import Interrupt, Simulator, _At
-from ..simulation.primitives import EdgeWake
+from ..simulation.kernel import EdgeWake, Interrupt, Simulator, _At
 from .channels import InputChannel
 from .cluster import NodeSpec
 from .metrics import MetricsCollector
@@ -467,6 +466,10 @@ class OperatorInstance:
 
     def _run(self):
         sim = self.sim
+        # What an accepted send returns: the shared pre-succeeded event.
+        # Yielding it would resume synchronously, so the emit paths below
+        # only yield a pending (backpressured) send.
+        done = sim._done
         while self.running:
             if self.paused:
                 yield self.wake.wait()
@@ -535,7 +538,8 @@ class OperatorInstance:
                         if out.is_record:
                             ev = router.emit_record_fast(out)
                             if ev is not None:
-                                yield ev
+                                if ev is not done:
+                                    yield ev
                                 continue
                         yield from router.emit(out)
                 elif (element.__class__ is Watermark
@@ -562,13 +566,9 @@ class OperatorInstance:
                         router = self.router
                         if outputs:
                             yield from router.emit_burst(outputs)
-                        # Inlined router.emit broadcast: sends accepted
-                        # immediately hand back the shared pre-succeeded
-                        # event, which _resume would continue past
-                        # synchronously anyway — only genuinely pending
-                        # (backpressured) sends need the yield.
+                        # Inlined router.emit broadcast, yielding only
+                        # pending sends (see `done` above).
                         wm_out = Watermark(timestamp=new_wm)
-                        done = sim.done
                         for edge in router.edges:
                             for ch in edge.channels:
                                 if self.abandon_work:

@@ -272,6 +272,9 @@ class SourceInstance(OperatorInstance):
         return len(self.pending)
 
     def _run(self):
+        # An accepted send returns the shared pre-succeeded event; yielding
+        # it would resume synchronously, so only a pending send is yielded.
+        done = self.sim._done
         while self.running:
             if self.paused:
                 yield self.wake.wait()
@@ -307,7 +310,8 @@ class SourceInstance(OperatorInstance):
             if is_record:
                 ev = self.router.emit_record_fast(element)
                 if ev is not None:
-                    yield ev
+                    if ev is not done:
+                        yield ev
                 else:
                     yield from self.router.emit(element)
                 self.emitted_records += element.count

@@ -4,7 +4,7 @@ The kernel is a small, deterministic, generator-based process engine in the
 style of SimPy.  Simulated components are written as Python generators that
 ``yield`` :class:`Event` objects; the kernel resumes a process when the event
 it waits on fires.  All state transitions happen at discrete simulated times
-drawn from a single event heap, so runs are fully reproducible: identical
+drawn from one event queue, so runs are fully reproducible: identical
 inputs produce identical traces.
 
 Example::
@@ -21,13 +21,27 @@ Example::
 
 Hot-path notes (see ``docs/performance.md``):
 
-* Queue entries are ``(time, counter, entry)`` where ``entry`` is either an
+* Heap entries are ``(time, counter, entry)`` where ``entry`` is either an
   :class:`Event` or a bare :class:`_Callback` — ``call_at``/``call_in`` skip
-  the full Event machinery.  Both respond to ``_dispatch()``.
+  the full Event machinery.  The run loop calls ``_Callback.fn`` directly
+  and ``Event._dispatch()`` otherwise.
 * Tie-break order on equal times is the global ``counter`` draw order.  Any
   optimization here must preserve the *relative* order of counter draws for
   retained events; removing a draw-less dispatch (e.g. skipping a defunct
   timeout) shifts nothing and is safe, while reordering draws is not.
+* Same-instant ready lane: an entry scheduled for the current time
+  (``when == now``: ``succeed``/``fail``, ``completed()``, process start,
+  interrupt and :class:`EdgeWake` wakes, zero delays) is appended to a FIFO
+  ``deque`` instead of the heap and draws no counter.  Each instant
+  dispatches the heap entries due at ``now`` first, then the lane in FIFO
+  order, then advances to the next heap time.  This is exactly the heap's
+  order: an entry can only enter the heap at time ``now`` while simulated
+  time is still earlier, so its counter is lower than any counter drawn at
+  this instant; and the lane receives this instant's entries in the order
+  their counter draws would have had.
+* :class:`EdgeWake` parks a process on the wake itself; ``fire()`` appends
+  the process's reusable wake entry to the lane, so a wait allocates no
+  Event.
 * Cancelled waits are marked ``_defunct`` and skipped on pop instead of
   being sifted out of the queue (lazy cancellation).  Defunct dispatches do
   not count toward ``events_processed``, and dispatch targets that detect a
@@ -38,10 +52,12 @@ Hot-path notes (see ``docs/performance.md``):
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 __all__ = [
+    "EdgeWake",
     "Event",
     "Process",
     "SimulationError",
@@ -67,11 +83,12 @@ class Interrupt(Exception):
 
 
 class _Callback:
-    """A bare heap entry that runs a function at its scheduled time.
+    """A bare queue entry that runs a function at its scheduled time.
 
     Carries none of the Event machinery: no value, no waiters, no triggered
-    state.  This is what ``call_at``/``call_in`` push, and what
-    ``Event.add_callback`` pushes for already-processed events.
+    state.  This is what ``call_at``/``call_in`` schedule, what
+    ``Event.add_callback`` schedules for already-processed events, and what
+    a process's start, wake and bare-delay entries are.
     """
 
     __slots__ = ("fn", "_defunct")
@@ -80,9 +97,8 @@ class _Callback:
         self.fn = fn
         self._defunct = False
 
-    def _dispatch(self) -> None:
-        self.fn()
 
+_INF = float("inf")
 
 #: Sentinel stored in ``Process._waiting_on`` while the process sleeps on a
 #: bare-delay yield (no Event exists to point at).
@@ -123,11 +139,11 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-        # True for events already on the heap with a future fire time
-        # (timeouts, call_at): they cannot be succeeded manually, but they
-        # have NOT fired yet — composites must wait for them.
+        # True for events already queued with a fire time (timeouts):
+        # they cannot be succeeded manually, but they have NOT fired yet —
+        # composites must wait for them.
         self._scheduled = False
-        # Lazily-cancelled: still in the heap, skipped at dispatch.
+        # Lazily-cancelled: still queued, skipped at dispatch.
         self._defunct = False
 
     @property
@@ -155,8 +171,7 @@ class Event:
         self._triggered = True
         self._value = value
         self._ok = True
-        sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._counter), self))
+        self.sim._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -168,20 +183,15 @@ class Event:
         self._triggered = True
         self._value = exception
         self._ok = False
-        sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._counter), self))
+        self.sim._ready.append(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)``; runs immediately if already past."""
         if self.callbacks is None:
-            # Already processed: run at the current time, preserving ordering
-            # relative to other same-time activity via the event heap.
-            sim = self.sim
-            heappush(
-                sim._heap,
-                (sim._now, next(sim._counter),
-                 _Callback(lambda: callback(self))))
+            # Already processed: run at the current time, after the
+            # same-time activity already queued (ready lane).
+            self.sim._ready.append(_Callback(lambda: callback(self)))
         else:
             self.callbacks.append(callback)
 
@@ -192,10 +202,6 @@ class Event:
         if callbacks:
             for callback in callbacks:
                 callback(self)
-
-    def _process(self) -> None:
-        # Backwards-compatible alias (pre-overhaul dispatch entry point).
-        self._dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "processed" if self._processed else (
@@ -268,18 +274,58 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
 
+class EdgeWake:
+    """Edge-triggered wake-up: a :meth:`fire` with no waiter is dropped.
+
+    Strictly cheaper than :class:`~repro.simulation.primitives.Signal` — no
+    pending latch means no spurious wake/re-poll round-trip when a producer
+    fires while the consumer is busy.  It is only correct for consumers that
+    re-check *all* of their wake conditions immediately before each
+    :meth:`wait`, with no simulation dispatch in between (the operator and
+    source main loops do exactly this: the wakeable state — input queues,
+    in-band functions, pause/stop flags — is re-read at the top of every
+    loop iteration, so a dropped fire can never strand observable work).
+    One-shot waiters that may :meth:`wait` *after* the producer fired must
+    keep using ``Signal``.
+
+    A process waits with ``yield wake.wait()``; the yield parks the process
+    on the wake itself, and :meth:`fire` appends each parked process's
+    reusable wake entry to the simulator's same-instant lane — no
+    :class:`Event` per wait.  Interrupting a parked process unparks it.
+    """
+
+    __slots__ = ("_sim", "_parked")
+
+    def __init__(self, sim: "Simulator"):
+        self._sim = sim
+        self._parked: List["Process"] = []
+
+    def wait(self) -> "EdgeWake":
+        """The marker a process yields to park here until the next fire."""
+        return self
+
+    def fire(self) -> None:
+        parked = self._parked
+        if parked:
+            append = self._sim._ready.append
+            for process in parked:
+                append(process._wake_entry)
+            parked.clear()
+
+
 class Process(Event):
     """A running generator.  Also an event: fires when the generator ends.
 
     Yield protocol: the generator yields :class:`Event` instances — or a
     bare ``float``/``int`` delay, shorthand for ``sim.timeout(delay)``
-    without the Event allocation (same heap position, same counter draw).
-    When the yielded event fires, the process resumes with the event's value
-    (or the exception, for failed events); a bare delay resumes with
-    ``None``.
+    without the Event allocation (same queue position), an :class:`_At`
+    absolute time, or ``EdgeWake.wait()``.  When the yielded event fires,
+    the process resumes with the event's value (or the exception, for
+    failed events); delays and wakes resume with ``None``.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on", "_timeout_entry")
+    __slots__ = ("_generator", "name", "_waiting_on", "_timeout_entry",
+                 "_wake_entry")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = ""):
@@ -287,15 +333,14 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        #: Reusable heap entry for bare-delay yields; at most one
+        #: Reusable queue entry for bare-delay yields; at most one
         #: outstanding position (recreated after an interrupt leaves a
         #: stale, defunct-marked one behind).
         self._timeout_entry: Optional[_Callback] = None
+        #: Reusable lane entry :meth:`EdgeWake.fire` queues for this process.
+        self._wake_entry = _Callback(self._wake_fire)
         # Kick off the process at the current time.
-        start = Event(sim)
-        start._triggered = True
-        start.callbacks.append(self._resume)
-        heappush(sim._heap, (sim._now, next(sim._counter), start))
+        sim._ready.append(_Callback(self._start))
 
     @property
     def is_alive(self) -> bool:
@@ -320,6 +365,14 @@ class Process(Event):
             if entry is not None:
                 entry._defunct = True
                 self._timeout_entry = None
+        elif target.__class__ is EdgeWake:
+            self._waiting_on = None
+            try:
+                target._parked.remove(self)
+            except ValueError:
+                # Already fired: the queued wake entry finds the process
+                # no longer waiting and does nothing (see _wake_fire).
+                pass
         elif target is not None:
             self._waiting_on = None
             callbacks = target.callbacks
@@ -337,8 +390,7 @@ class Process(Event):
         wake._ok = False
         wake._value = Interrupt(cause)
         wake.callbacks.append(self._resume)
-        sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._counter), wake))
+        self.sim._ready.append(wake)
 
     def _resume(self, event: Event) -> None:
         if self._triggered:  # finished while the wake-up was in flight
@@ -360,7 +412,7 @@ class Process(Event):
                 return
             kind = type(target)
             if kind is float or kind is int:
-                # Bare-delay yield: same heap position and counter draw as
+                # Bare-delay yield: same queue position as
                 # `yield sim.timeout(delay)`, minus the Event allocation.
                 if target < 0:
                     raise SimulationError(f"negative timeout: {target}")
@@ -370,26 +422,36 @@ class Process(Event):
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
                 sim = self.sim
-                heappush(
-                    sim._heap,
-                    (sim._now + target, next(sim._counter), entry))
+                now = sim._now
+                when = now + target
+                if when == now:
+                    sim._ready.append(entry)
+                else:
+                    heappush(sim._heap, (when, next(sim._counter), entry))
+                return
+            if kind is EdgeWake:
+                self._waiting_on = target
+                target._parked.append(self)
                 return
             if kind is _At:
                 # Absolute-time wait: identical machinery to a bare delay,
-                # but the heap time is taken verbatim (no now+delta float
+                # but the time is taken verbatim (no now+delta float
                 # round-trip).
                 sim = self.sim
                 when = target.when
-                if when < sim._now:
+                now = sim._now
+                if when < now:
                     raise SimulationError(
-                        f"cannot wait until {when}; now is {sim._now}")
+                        f"cannot wait until {when}; now is {now}")
                 entry = self._timeout_entry
                 if entry is None:
                     entry = self._timeout_entry = _Callback(
                         self._timeout_fire)
                 self._waiting_on = _TIMEOUT_WAIT
-                heappush(
-                    sim._heap, (when, next(sim._counter), entry))
+                if when == now:
+                    sim._ready.append(entry)
+                else:
+                    heappush(sim._heap, (when, next(sim._counter), entry))
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
@@ -399,7 +461,7 @@ class Process(Event):
                 # Already-past event (the shared `done` singleton, or any
                 # event that fired in an earlier dispatch): resume
                 # synchronously instead of round-tripping a bare callback
-                # through the event heap — no counter draw, no dispatch.
+                # through the queue — no dispatch.
                 event = target
                 continue
             self._waiting_on = target
@@ -408,8 +470,23 @@ class Process(Event):
             target.callbacks.append(self._resume)
             return
 
+    def _start(self) -> None:
+        """Dispatch target of the process's start entry."""
+        self._resume(self.sim._done)
+
+    def _wake_fire(self) -> None:
+        """Dispatch target of the reusable wake entry (EdgeWake.fire).
+
+        An interrupt after the fire clears ``_waiting_on``; the entry then
+        dispatches as a no-op, before the interrupt's own wake.  The
+        process cannot run in between, so a set ``_waiting_on`` always
+        still names the wake that queued this entry.
+        """
+        if self._waiting_on is not None:
+            self._resume(self.sim._done)
+
     def _timeout_fire(self) -> None:
-        """Dispatch target of the reusable bare-delay heap entry."""
+        """Dispatch target of the reusable bare-delay entry."""
         if self._waiting_on is _TIMEOUT_WAIT:
             self._resume(self.sim.done)
         else:
@@ -419,14 +496,22 @@ class Process(Event):
 
 
 class Simulator:
-    """The event loop: owns simulated time and the pending-event queue."""
+    """The event loop: owns simulated time and the pending-event queue.
 
-    __slots__ = ("_now", "_heap", "_counter", "_event_count",
+    Pending entries live in two places: a ``(time, counter, entry)`` binary
+    heap for future times and the FIFO ready lane for the current instant
+    (see the module's hot-path notes for why the pair dispatches in exact
+    heap order).
+    """
+
+    __slots__ = ("_now", "_heap", "_ready", "_counter", "_event_count",
                  "dispatch_probe", "discount_probe", "_done")
 
     def __init__(self):
         self._now = 0.0
         self._heap: List[Any] = []
+        #: Same-instant ready lane: entries due at ``_now``, FIFO.
+        self._ready: Deque[Any] = deque()
         self._counter = itertools.count()
         self._event_count = 0
         #: Optional zero-arg telemetry hook invoked once per dispatched
@@ -487,18 +572,18 @@ class Simulator:
         """The shared, already-processed success event (value ``None``).
 
         Hand this to a waiter whose wait is already satisfied and carries no
-        value: no allocation, no heap push at hand-out time.  A process that
-        yields it resumes via the processed-event path of
-        :meth:`Event.add_callback`, which draws its counter at yield time —
-        so only return ``done`` where no other counter draw can occur
-        between hand-out and yield.
+        value: no allocation, nothing queued.  A process that yields it
+        resumes synchronously, inside the same dispatch; a hot caller can
+        skip that yield (``if ev is not done: yield ev``) to the same
+        effect.  :meth:`Event.add_callback` on it queues the callback at the
+        current instant.
         """
         return self._done
 
     def completed(self, value: Any = None) -> Event:
         """An event already fired at the current time, carrying ``value``.
 
-        Equivalent to ``sim.event().succeed(value)`` — same counter draw,
+        Equivalent to ``sim.event().succeed(value)`` — same queue position,
         same dispatch — minus the guard checks.  This is the accepted-send
         fast path: callers that must hand a waiter an event firing "now"
         without reordering anything.
@@ -506,7 +591,7 @@ class Simulator:
         ev = Event(self)
         ev._triggered = True
         ev._value = value
-        heappush(self._heap, (self._now, next(self._counter), ev))
+        self._ready.append(ev)
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Event:
@@ -516,7 +601,12 @@ class Simulator:
         ev = Event(self)
         ev._scheduled = True
         ev._value = value
-        heappush(self._heap, (self._now + delay, next(self._counter), ev))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(ev)
+        else:
+            heappush(self._heap, (when, next(self._counter), ev))
         return ev
 
     def any_of(self, events: Iterable[Event]) -> Event:
@@ -534,58 +624,69 @@ class Simulator:
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute simulated time ``when``.
 
-        Cheaper than spawning a process or succeeding an event: the heap
+        Cheaper than spawning a process or succeeding an event: the queue
         entry is a bare :class:`_Callback`, not an :class:`Event`.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when}; now is {self._now}")
-        heappush(self._heap,
-                 (when, next(self._counter), _Callback(callback)))
+        now = self._now
+        if when == now:
+            self._ready.append(_Callback(callback))
+        elif when > now:
+            heappush(self._heap,
+                     (when, next(self._counter), _Callback(callback)))
+        else:
+            raise SimulationError(f"cannot schedule at {when}; now is {now}")
 
     def call_in(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` ``delay`` seconds from now."""
         self.call_at(self._now + delay, callback)
 
     def schedule_entry(self, when: float, entry: "_Callback") -> None:
-        """Push a caller-owned heap entry (``_Callback`` or compatible).
+        """Queue a caller-owned :class:`_Callback` entry.
 
         Hot-path variant of :meth:`call_at` for callers that reuse one
         entry object across many schedules (e.g. a channel drainer): no
-        per-call wrapper allocation.  The same entry may sit in the heap at
-        several positions at once; ``_dispatch()`` runs once per pop.  The
+        per-call wrapper allocation.  The same entry may be queued at
+        several positions at once; ``fn()`` runs once per dispatch.  The
         caller must never mark a reused entry ``_defunct``.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when}; now is {self._now}")
-        heappush(self._heap, (when, next(self._counter), entry))
-
-    # -- scheduling internals ----------------------------------------------
-
-    def _schedule_event(self, event: Event) -> None:
-        heappush(self._heap, (self._now, next(self._counter), event))
+        now = self._now
+        if when == now:
+            self._ready.append(entry)
+        elif when > now:
+            heappush(self._heap, (when, next(self._counter), entry))
+        else:
+            raise SimulationError(f"cannot schedule at {when}; now is {now}")
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
         """Process one event.  Returns False when the queue is empty.
 
-        Defunct (lazily-cancelled) entries are discarded without counting
-        as a processed event.
+        Dispatches in :meth:`run` order: heap entries due at ``now``, then
+        the ready lane, then the next heap time.  Defunct (lazily-cancelled)
+        entries are discarded without counting as a processed event.
         """
         heap = self._heap
-        while heap:
-            when, _seq, entry = heappop(heap)
-            if entry._defunct:
-                continue
-            if when < self._now:
-                raise SimulationError("event heap went backwards in time")
-            self._now = when
+        ready = self._ready
+        while heap or ready:
+            if ready and (not heap or heap[0][0] != self._now):
+                entry = ready.popleft()
+                if entry._defunct:
+                    continue
+            else:
+                when, _seq, entry = heappop(heap)
+                if entry._defunct:
+                    continue
+                if when < self._now:
+                    raise SimulationError("event heap went backwards in time")
+                self._now = when
             self._event_count += 1
             if self.dispatch_probe is not None:
                 self.dispatch_probe()
-            entry._dispatch()
+            if entry.__class__ is _Callback:
+                entry.fn()
+            else:
+                entry._dispatch()
             return True
         return False
 
@@ -594,99 +695,96 @@ class Simulator:
 
         Returns the simulated time at which execution stopped.
 
-        The loop is inlined (no per-event ``step()`` call) and pops runs of
-        same-time events in an inner loop: a dispatch can only push entries
-        with *later* counters, so draining the equal-time prefix before
-        re-checking ``until`` preserves tie-break order exactly.
+        The loop is inlined (no per-event ``step()`` call) and works one
+        instant at a time: the heap entries due at ``now``, then the ready
+        lane until it is empty (a dispatch at ``now`` can only add lane
+        entries), then a pop that advances time.
         """
+        limit = _INF if until is None else until
         heap = self._heap
+        ready = self._ready
         pop = heappop
+        popleft = ready.popleft
+        callback = _Callback
         count = 0
         try:
-            if self.dispatch_probe is None:
-                # Probe-off fast loop: no per-event hook check.  If a
-                # dispatch installs a probe mid-run we fall through to the
-                # instrumented loop below on the next outer iteration.
-                if until is None:
-                    while heap and self.dispatch_probe is None:
-                        when, _seq, entry = pop(heap)
-                        if entry._defunct:
-                            continue
-                        self._now = when
-                        count += 1
-                        entry._dispatch()
-                        # Batched same-time pops: drain the equal-time run.
-                        while heap and heap[0][0] == when:
-                            _w, _s, entry = pop(heap)
-                            if entry._defunct:
-                                continue
-                            count += 1
-                            entry._dispatch()
-                else:
-                    while (heap and heap[0][0] <= until
-                           and self.dispatch_probe is None):
-                        when, _seq, entry = pop(heap)
-                        if entry._defunct:
-                            continue
-                        self._now = when
-                        count += 1
-                        entry._dispatch()
-                        while heap and heap[0][0] == when:
-                            _w, _s, entry = pop(heap)
-                            if entry._defunct:
-                                continue
-                            count += 1
-                            entry._dispatch()
+            if self._now <= limit:
                 if self.dispatch_probe is None:
-                    if until is not None and self._now < until:
-                        self._now = until
-                    return self._now
-            if until is None:
-                while heap:
-                    when, _seq, entry = pop(heap)
-                    if entry._defunct:
-                        continue
-                    self._now = when
-                    count += 1
-                    if self.dispatch_probe is not None:
-                        self.dispatch_probe()
-                    entry._dispatch()
-                    # Batched same-time pops: drain the equal-time run.
-                    while heap and heap[0][0] == when:
-                        _w, _s, entry = pop(heap)
+                    # Probe-off fast loop: no per-event hook check.
+                    while True:
+                        when = self._now
+                        while heap and heap[0][0] == when:
+                            entry = pop(heap)[2]
+                            if entry._defunct:
+                                continue
+                            count += 1
+                            if entry.__class__ is callback:
+                                entry.fn()
+                            else:
+                                entry._dispatch()
+                        while ready:
+                            entry = popleft()
+                            if entry._defunct:
+                                continue
+                            count += 1
+                            if entry.__class__ is callback:
+                                entry.fn()
+                            else:
+                                entry._dispatch()
+                        if self.dispatch_probe is not None:
+                            break  # installed mid-run: instrumented loop
+                        # Advance to the next live heap entry.
+                        while heap and heap[0][0] <= limit:
+                            when, _seq, entry = pop(heap)
+                            if not entry._defunct:
+                                break
+                        else:
+                            break
+                        self._now = when
+                        count += 1
+                        if entry.__class__ is callback:
+                            entry.fn()
+                        else:
+                            entry._dispatch()
+                # Instrumented loop, step()'s order bounded by ``until``.
+                # After a probe-off run it finds nothing left to do.
+                while True:
+                    if ready and (not heap or heap[0][0] != self._now):
+                        entry = popleft()
+                    elif heap and heap[0][0] <= limit:
+                        when, _seq, entry = pop(heap)
                         if entry._defunct:
                             continue
-                        count += 1
-                        if self.dispatch_probe is not None:
-                            self.dispatch_probe()
-                        entry._dispatch()
-                return self._now
-            while heap and heap[0][0] <= until:
-                when, _seq, entry = pop(heap)
-                if entry._defunct:
-                    continue
-                self._now = when
-                count += 1
-                if self.dispatch_probe is not None:
-                    self.dispatch_probe()
-                entry._dispatch()
-                while heap and heap[0][0] == when:
-                    _w, _s, entry = pop(heap)
+                        self._now = when
+                    else:
+                        break
                     if entry._defunct:
                         continue
                     count += 1
                     if self.dispatch_probe is not None:
                         self.dispatch_probe()
-                    entry._dispatch()
-            if self._now < until:
+                    if entry.__class__ is callback:
+                        entry.fn()
+                    else:
+                        entry._dispatch()
+            if until is not None and self._now < until:
                 self._now = until
             return self._now
         finally:
             self._event_count += count
 
     def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none."""
+        """Time of the next pending event, or ``inf`` if none.
+
+        ``now`` while a live entry waits in the ready lane; defunct entries
+        at the front of either queue are discarded first.
+        """
+        ready = self._ready
+        while ready and ready[0]._defunct:
+            ready.popleft()
+        if ready:
+            return self._now
         heap = self._heap
         while heap and heap[0][2]._defunct:
             heappop(heap)
-        return heap[0][0] if heap else float("inf")
+        return heap[0][0] if heap else _INF

@@ -4,7 +4,10 @@ These are the building blocks the streaming engine uses to model bounded
 buffers, wake-up conditions and resource gates:
 
 * :class:`Signal` — a re-armable "something changed, re-check your condition"
-  wake-up, the backbone of every operator's main loop.
+  wake-up for one-shot waiters.
+* :class:`EdgeWake` — its edge-triggered sibling that drives every
+  operator's main loop; it lives in the kernel (it parks processes
+  directly) and is re-exported here.
 * :class:`BoundedStore` — a FIFO buffer with blocking put (backpressure) and
   blocking get.
 * :class:`Semaphore` — counted resource gate (used for per-node subscale
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from .kernel import Event, SimulationError, Simulator
+from .kernel import EdgeWake, Event, SimulationError, Simulator
 
 __all__ = ["Signal", "EdgeWake", "BoundedStore", "Semaphore"]
 
@@ -52,40 +55,6 @@ class Signal:
                     ev.succeed()
         else:
             self._pending = True
-
-
-class EdgeWake:
-    """Edge-triggered wake-up: a :meth:`fire` with no waiter is dropped.
-
-    Strictly cheaper than :class:`Signal` — no pending latch means no
-    spurious wake/re-poll round-trip through the event heap when a producer
-    fires while the consumer is busy.  It is only correct for consumers that
-    re-check *all* of their wake conditions immediately before each
-    :meth:`wait`, with no simulation dispatch in between (the operator and
-    source main loops do exactly this: the wakeable state — input queues,
-    in-band functions, pause/stop flags — is re-read at the top of every
-    loop iteration, so a dropped fire can never strand observable work).
-    One-shot waiters that may :meth:`wait` *after* the producer fired must
-    keep using :class:`Signal`.
-    """
-
-    __slots__ = ("_sim", "_waiters")
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-        self._waiters: List[Event] = []
-
-    def wait(self) -> Event:
-        ev = self._sim.event()
-        self._waiters.append(ev)
-        return ev
-
-    def fire(self) -> None:
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
 
 
 class BoundedStore:

@@ -289,9 +289,11 @@ def test_closed_channel_send_returns_shared_event_without_heap_growth():
     events = [channel.send(Record(key=f"k{i}", size_bytes=10))
               for i in range(50)]
     # Every send is accepted-and-dropped via the one shared pre-succeeded
-    # event: no per-send allocation, and the heap does not grow.
+    # event: no per-send allocation, and neither the heap nor the
+    # same-instant ready lane grows.
     assert all(ev is sim.done for ev in events)
     assert len(sim._heap) == heap_before
+    assert not sim._ready
     sim.run()
     assert len(inbox) == 0
 

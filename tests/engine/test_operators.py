@@ -11,6 +11,7 @@ from repro.engine import (FilterLogic, JobGraph, KeyByLogic,
                           KeyedReduceLogic, MapLogic, OperatorSpec,
                           Partitioning, Record, StreamJob, Watermark)
 from repro.engine.operators import PassThroughLogic, SinkLogic
+from repro.engine.runtime import JobConfig
 
 
 class FakeInstance:
@@ -136,6 +137,76 @@ def test_pause_resume_stops_processing():
         inst.resume()
     job.run(until=4.5)
     assert sum(i.records_processed for i in agg) > before
+
+
+def _slow_silent_reduce_job(record_plane):
+    """source -> slow silent keyed reduce -> sink: the reduce backlogs, so
+    the batched plane runs it in analytic consume batches."""
+    graph = JobGraph("preempt", num_key_groups=8)
+    graph.add_source("src", parallelism=1, service_time=0.00005)
+    graph.add_operator(OperatorSpec(
+        "agg", logic_factory=lambda: KeyedReduceLogic(
+            lambda old, r: (old or 0) + r.count, emit_updates=False),
+        parallelism=1, service_time=0.01, keyed=True))
+    graph.add_sink("sink")
+    graph.connect("src", "agg", Partitioning.HASH)
+    graph.connect("agg", "sink", Partitioning.FORWARD)
+    job = StreamJob(graph, config=JobConfig(record_plane=record_plane))
+    return job.build()
+
+
+def test_preempt_batch_interrupts_consume_batch_like_per_record_plane():
+    """pause() and run_inband() mid-batch interrupt the batch sleep; the
+    collapsed batch then matches the per-record plane step for step."""
+    def script(record_plane):
+        job = _slow_silent_reduce_job(record_plane)
+        drive(job, until=2.0, marker_every=0, watermark_every=0)
+        job.start()
+        inst = job.instances("agg")[0]
+        inband = []
+
+        def action(instance):
+            inband.append(instance.sim.now)
+            return
+            yield  # pragma: no cover
+
+        samples = []
+
+        def sample():
+            samples.append((job.sim.now, inst.records_processed,
+                            inst.busy_seconds))
+
+        job.run(until=0.52)
+        in_batch = inst._batch_records is not None
+        if in_batch:
+            unapplied = len(inst._batch_records) - inst._batch_applied
+        inst.pause()
+        if in_batch:
+            # Only the in-progress member is left armed.
+            assert inst._batch_records is None or (
+                len(inst._batch_records) - inst._batch_applied == 1)
+            assert unapplied > 1
+        for t in (0.53, 0.6, 0.9):
+            job.run(until=t)
+            sample()
+        inst.resume()
+        job.run(until=1.23)
+        in_batch = in_batch and inst._batch_records is not None
+        inst.run_inband(action)
+        for t in (1.25, 1.5, 3.0, 12.0):
+            job.run(until=t)
+            sample()
+        state = {g.key_group: dict(g.entries) for g in inst.state.groups()}
+        return in_batch, samples, inband, state
+
+    batched = script("batched")
+    single = script("single")
+    # Both preemptions really hit a batch on the batched plane.
+    assert batched[0] and not single[0]
+    assert batched[1:] == single[1:]
+    paused = batched[1][1:3]
+    assert paused[0][1:] == paused[1][1:]  # nothing processed while paused
+    assert batched[2]
 
 
 def test_service_time_scales_with_count_and_node_speed():

@@ -278,8 +278,8 @@ def test_determinism_same_program_same_trace():
 
 
 def test_done_singleton_resumes_synchronously():
-    # Yielding the shared pre-succeeded `done` event must not touch the
-    # heap: the process continues inside the same dispatch.
+    # Yielding the shared pre-succeeded `done` event must not queue
+    # anything: the process continues inside the same dispatch.
     sim = Simulator()
     log = []
 
@@ -288,14 +288,61 @@ def test_done_singleton_resumes_synchronously():
         heap_before = len(sim._heap)
         yield sim.done
         yield sim.done
-        log.append((sim.now, heap_before, len(sim._heap)))
+        log.append((sim.now, heap_before, len(sim._heap), len(sim._ready)))
 
     sim.spawn(proc())
     sim.run()
     assert len(log) == 1
-    now, before, after = log[0]
+    now, before, after, lane = log[0]
     assert now == 1.0          # no simulated time passed
     assert after == before     # no heap entries scheduled
+    assert lane == 0           # nor same-instant lane entries
+
+
+def test_same_instant_entries_use_the_lane_not_the_heap():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield 1.0
+        heap_before = len(sim._heap)
+        sim.call_at(sim.now, lambda: seen.append("call_at"))
+        sim.timeout(0).add_callback(lambda _ev: seen.append("timeout"))
+        sim.event().succeed()
+        seen.append((len(sim._heap) - heap_before, len(sim._ready)))
+        yield 0
+        seen.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [(0, 3), "call_at", "timeout", 1.0]
+
+
+def test_peek_is_now_while_lane_holds_live_entry():
+    sim = Simulator()
+    sim.call_at(5.0, lambda: None)
+    ev = sim.timeout(0.0)
+    assert sim.peek() == 0.0
+    ev._defunct = True  # lazily cancelled: peek skips it
+    assert sim.peek() == 5.0
+    assert sim.step() and sim.now == 5.0
+    assert sim.events_processed == 1
+
+
+def test_heap_entries_due_now_dispatch_before_lane_entries():
+    # Entries pushed at an earlier time for `t` hold lower counters than
+    # anything scheduled at `t` itself, so they run first.
+    sim = Simulator()
+    log = []
+
+    def first():
+        log.append("a")
+        sim.call_at(sim.now, lambda: log.append("c"))
+
+    sim.call_at(1.0, first)
+    sim.call_at(1.0, lambda: log.append("b"))
+    sim.run()
+    assert log == ["a", "b", "c"]
 
 
 def test_completed_event_preserves_tie_order():

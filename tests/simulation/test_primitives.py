@@ -1,4 +1,4 @@
-"""Signal, BoundedStore and Semaphore behaviour."""
+"""Signal, EdgeWake, BoundedStore and Semaphore behaviour."""
 
 import pytest
 
@@ -200,6 +200,70 @@ class TestEdgeWake:
         sim.call_at(3.0, wake.fire)
         sim.run()
         assert log == [3.0]
+
+    def test_interrupted_parked_process_is_unparked(self):
+        # An interrupt unparks the process: a later fire() must not resume
+        # it, and it can park on the same wake again.
+        from repro.simulation import EdgeWake, Interrupt
+
+        sim = Simulator()
+        wake = EdgeWake(sim)
+        log = []
+
+        def proc():
+            try:
+                yield wake.wait()
+                log.append(("woken", sim.now))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            yield 5.0
+            log.append(("slept", sim.now))
+            yield wake.wait()
+            log.append(("woken", sim.now))
+
+        p = sim.spawn(proc())
+        sim.call_at(1.0, p.interrupt)
+        sim.call_at(2.0, wake.fire)  # nobody parked: dropped
+        sim.call_at(7.0, wake.fire)
+        sim.run()
+        assert log == [("interrupted", 1.0), ("slept", 6.0),
+                       ("woken", 7.0)]
+        assert not p.is_alive
+
+    def test_interrupt_after_fire_wins(self):
+        # fire() queued the wake, then an interrupt arrived in the same
+        # instant: the queued wake is void, the interrupt is delivered.
+        from repro.simulation import EdgeWake, Interrupt
+
+        sim = Simulator()
+        wake = EdgeWake(sim)
+        log = []
+
+        def proc():
+            try:
+                yield wake.wait()
+                log.append("woken")
+            except Interrupt:
+                log.append("interrupted")
+            yield 1.0
+            log.append(("done", sim.now))
+
+        p = sim.spawn(proc())
+
+        def fire_then_interrupt():
+            wake.fire()
+            p.interrupt()
+
+        sim.call_at(1.0, fire_then_interrupt)
+        sim.run()
+        assert log == ["interrupted", ("done", 2.0)]
+
+    def test_wait_allocates_no_event(self):
+        from repro.simulation import EdgeWake
+
+        sim = Simulator()
+        wake = EdgeWake(sim)
+        assert wake.wait() is wake
 
     def test_waiters_cleared_after_fire(self):
         from repro.simulation import EdgeWake
