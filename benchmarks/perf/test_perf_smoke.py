@@ -26,7 +26,7 @@ KERNEL_BENCHES = ("timeout_storm", "callback_chain", "event_pingpong",
 
 def test_kernel_bench_smoke():
     doc = run_kernel_bench("smoke")
-    assert doc["schema"] == BENCH_SCHEMA == "repro-bench/6"
+    assert doc["schema"] == BENCH_SCHEMA == "repro-bench/7"
     assert doc["scale"] == "smoke"
     assert doc["stat"] == "best"
     assert doc["config"]["record_plane"] == "batched"
@@ -183,27 +183,23 @@ def test_compare_e2e_paper_multi_scenario():
 
 def test_config_mismatch_warnings_flag_divergent_configs():
     """Comparing runs measured under different engine configs must warn
-    (plane, batch size, shards, inbox capacity, transport) — never diff
-    silently."""
+    (plane, batch size, shards, inbox capacity) — never diff silently."""
     current = {"config": {"record_plane": "batched", "max_batch_size": 64,
-                          "shards": 4, "inbox_capacity": 256,
-                          "shard_transport": "shm"}}
+                          "shards": 4, "inbox_capacity": 256}}
     baseline = {"config": {"record_plane": "batched", "max_batch_size": 64,
-                           "shards": 1, "inbox_capacity": 32,
-                           "shard_transport": "pipe"}}
+                           "shards": 1, "inbox_capacity": 32}}
     warnings = config_mismatch_warnings(current, baseline)
     text = "\n".join(warnings)
-    assert "shard_transport" in text
+    assert "current inbox_capacity=256 vs baseline inbox_capacity=32" \
+        in text
     assert "shards" in text
-    assert "inbox_capacity" in text
     assert "record_plane" not in text
     assert "max_batch_size" not in text
 
 
 def test_config_mismatch_warnings_empty_when_identical():
     doc = {"config": {"record_plane": "batched", "max_batch_size": 64,
-                      "shards": 1, "inbox_capacity": 32,
-                      "shard_transport": "auto"}}
+                      "shards": 1, "inbox_capacity": 32}}
     assert config_mismatch_warnings(doc, copy.deepcopy(doc)) == []
 
 

@@ -213,34 +213,25 @@ class ShardPlan:
         self.lookahead: float = lookahead
         #: The per-operator weights the balance was computed from.
         self.weights: Dict[str, float] = weights
-        #: Per-cut-edge transport/flow-control hints, ``edge name ->
-        #: {"ring_bytes": int, "inbox_capacity": int}`` (either key may be
-        #: absent).  Filled by :meth:`annotate_cuts`; the sharded runner
-        #: sizes each cut pair's shared-memory ring from the max
-        #: ``ring_bytes`` over the pair's edges and replays the credit
-        #: ledger (and configures the equivalence reference) with the
-        #: per-edge ``inbox_capacity``.
+        #: Per-cut-edge flow-control hints, ``edge name ->
+        #: {"inbox_capacity": int}``.  Filled by :meth:`annotate_cuts`; the
+        #: sharded runner replays the credit ledger (and configures the
+        #: equivalence reference) with the per-edge ``inbox_capacity``.
         self.cut_hints: Dict[str, Dict[str, int]] = {}
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def annotate_cuts(self, ring_bytes=None, inbox_overrides=None) -> None:
-        """Attach transport/capacity hints to this plan's cut edges.
+    def annotate_cuts(self, inbox_overrides=None) -> None:
+        """Attach per-edge inbox capacities to this plan's cut edges.
 
-        ``ring_bytes`` may be an int (applied to every cut edge) or an
-        ``edge name -> int`` mapping; ``inbox_overrides`` maps edge names
-        to per-edge inbox capacities.  Hints for edges that are not cut in
-        this plan are ignored (a replan may cut different edges).
+        ``inbox_overrides`` maps edge names to per-edge inbox capacities.
+        Hints for edges that are not cut in this plan are ignored (a
+        replan may cut different edges).
         """
         for name in self.cut_edges:
             hints = self.cut_hints.setdefault(name, {})
-            if ring_bytes is not None:
-                rb = (ring_bytes.get(name)
-                      if isinstance(ring_bytes, dict) else ring_bytes)
-                if rb is not None:
-                    hints["ring_bytes"] = int(rb)
             if inbox_overrides and name in inbox_overrides:
                 hints["inbox_capacity"] = int(inbox_overrides[name])
 

@@ -77,7 +77,9 @@ class JobConfig:
     #: ordinary single-process kernel; ``None`` reads ``REPRO_SHARDS``
     #: (defaulting to 1).  Values > 1 only take effect on plain
     #: run-to-completion workloads — controllers / telemetry / fault
-    #: injection degrade to single-process execution.
+    #: injection degrade to single-process execution.  Cut-edge traffic
+    #: always crosses as pickled messages over one pipe per cut shard
+    #: pair, paced by an adaptive quantum; there is no transport choice.
     shards: Optional[int] = None
     #: Inbox (credit) capacity used for cut-crossing channels when a run is
     #: sharded: the benches and ``repro shard-check`` substitute this for
@@ -88,19 +90,11 @@ class JobConfig:
     #: (defaulting to 512).  Per-cut-edge overrides can be attached to the
     #: partition plan (:meth:`~..engine.routing.ShardPlan.annotate_cuts`).
     shard_inbox_capacity: Optional[int] = None
-    #: Cut-edge transport for the sharded kernel: ``"shm"`` (shared-memory
-    #: column-packed frame rings with demand-driven null messages and adaptive
-    #: quantum), ``"pipe"`` (the legacy pickle-over-pipe protocol with a
-    #: fixed quantum and eager nulls), or ``"auto"`` (shm when the
-    #: platform supports it, else pipe).  ``None`` reads
-    #: ``REPRO_SHARD_TRANSPORT`` (defaulting to ``"auto"``).
-    shard_transport: Optional[str] = None
 
     #: Legal record planes / batch-size bounds (also enforced by
     #: :class:`~..experiments.harness.ExperimentConfig` overrides).
     RECORD_PLANES = ("batched", "single")
     STATE_BACKENDS = ("dict", "changelog")
-    SHARD_TRANSPORTS = ("auto", "shm", "pipe")
     MAX_BATCH_SIZE_LIMIT = 4096
     MAX_SHARDS = 64
     MAX_SHARD_INBOX = 1 << 20
@@ -164,13 +158,6 @@ class JobConfig:
                 "shard_inbox_capacity must be an integer in "
                 f"[1, {self.MAX_SHARD_INBOX}], "
                 f"got {self.shard_inbox_capacity!r}")
-        if self.shard_transport is None:
-            self.shard_transport = os.environ.get(
-                "REPRO_SHARD_TRANSPORT", "auto")
-        if self.shard_transport not in self.SHARD_TRANSPORTS:
-            raise ValueError(
-                f"unknown shard_transport: {self.shard_transport!r} "
-                f"(expected one of: {', '.join(self.SHARD_TRANSPORTS)})")
 
 
 @dataclass

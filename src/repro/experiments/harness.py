@@ -76,10 +76,6 @@ class ExperimentConfig:
     #: (``REPRO_SHARD_INBOX`` or 512); only consulted when the run
     #: actually shards.
     shard_inbox_capacity: Optional[int] = None
-    #: Cut-edge data plane for sharded runs ("auto"/"shm"/"pipe").
-    #: None = the engine default (``REPRO_SHARD_TRANSPORT`` or "auto",
-    #: which picks shared memory).
-    shard_transport: Optional[str] = None
 
     def __post_init__(self):
         if (self.record_plane is not None
@@ -120,13 +116,6 @@ class ExperimentConfig:
                 "shard_inbox_capacity must be an integer in "
                 f"[1, {JobConfig.MAX_SHARD_INBOX}] or None, "
                 f"got {self.shard_inbox_capacity!r}")
-        if (self.shard_transport is not None
-                and self.shard_transport not in JobConfig.SHARD_TRANSPORTS):
-            raise ValueError(
-                f"unknown shard_transport: {self.shard_transport!r} "
-                f"(expected one of: "
-                f"{', '.join(JobConfig.SHARD_TRANSPORTS)} "
-                "— or None for the engine default)")
 
 
 @dataclass
@@ -241,16 +230,11 @@ def _run_experiment_sharded(config: ExperimentConfig, job_config,
     # Explicit shard knobs override the job config for *this* run; the
     # flow-control window applies engine-wide (the sharded run and the
     # single reference inside run_sharded stay same-config).
-    if (config.shard_inbox_capacity is not None
-            or config.shard_transport is not None):
-        overrides = {}
-        if config.shard_inbox_capacity is not None:
-            overrides["shard_inbox_capacity"] = config.shard_inbox_capacity
-            overrides["inbox_capacity"] = config.shard_inbox_capacity
-        if config.shard_transport is not None:
-            overrides["shard_transport"] = config.shard_transport
+    if config.shard_inbox_capacity is not None:
         base = job_config if job_config is not None else JobConfig()
-        job_config = _dc.replace(base, **overrides)
+        job_config = _dc.replace(
+            base, shard_inbox_capacity=config.shard_inbox_capacity,
+            inbox_capacity=config.shard_inbox_capacity)
 
     workload = config.workload
     end_at = config.warmup + config.post_duration

@@ -35,15 +35,16 @@ __all__ = ["BENCH_SCALES", "run_kernel_bench", "run_e2e_bench",
 #: the multi-scenario e2e results shape of the ``paper`` scale.  /4 added
 #: ``shards`` / ``workers`` / ``inbox_capacity`` to ``config`` and the
 #: sharded e2e result shape (``sharded`` sub-document per scenario when
-#: the run uses more than one worker process).  /5 added
-#: ``shard_transport`` to ``config`` and the sync-protocol counters to
-#: the ``sharded`` sub-document (``transport``, null messages sent /
-#: suppressed, grant rounds, cut-edge bytes shipped, per-shard blocked
-#: waits, spills, fallbacks, adaptive-quantum trajectory).  The former
-#: ``SHARD_INBOX_CAPACITY`` module constant is now
+#: the run uses more than one worker process).  /5 added the cut-edge
+#: transport choice to ``config`` and the sync-protocol counters to the
+#: ``sharded`` sub-document (null messages, grant rounds, cut-edge bytes
+#: shipped, per-shard blocked waits, adaptive-quantum trajectory).  The
+#: former ``SHARD_INBOX_CAPACITY`` module constant is now
 #: ``JobConfig.shard_inbox_capacity`` (env ``REPRO_SHARD_INBOX``).  /6
 #: dropped ``scheduler``/``columnar_available`` and ``timeout_storm_calendar``.
-BENCH_SCHEMA = "repro-bench/6"
+#: /7 dropped the transport choice and the counters that only the
+#: shared-memory transport produced (one cut-edge transport remains).
+BENCH_SCHEMA = "repro-bench/7"
 
 #: Host-cost operator weights for the shard partitioner, calibrated by
 #: profiling the paper-tier runs (per-record session-window work makes
@@ -209,7 +210,6 @@ _E2E_LABELS = {"q7": "nexmark-q7", "q8": "nexmark-q8", "twitch": "twitch"}
 
 
 def bench_e2e_scenario(kind: str, until: float, shards: int = 1,
-                       transport: Optional[str] = None,
                        inbox: Optional[int] = None) -> Dict[str, float]:
     """One end-to-end workload (quick scenario config, no scaling).
 
@@ -223,15 +223,13 @@ def bench_e2e_scenario(kind: str, until: float, shards: int = 1,
     sync-protocol counters, and two speedups: ``measured`` (wall-clock,
     meaningful only with >= ``shards`` free cores) and ``critical_path``
     (single CPU over bottleneck-shard CPU — the hardware-independent
-    pipeline number).  ``transport`` picks the cut-edge data plane
-    ("auto"/"shm"/"pipe"; None = engine default) and ``inbox`` overrides
-    the shard flow-control window
+    pipeline number).  ``inbox`` overrides the shard flow-control window
     (:attr:`~repro.engine.runtime.JobConfig.shard_inbox_capacity`).
     """
     from ..experiments.scenarios import QUICK, make_workload
 
     if shards > 1:
-        return _bench_e2e_sharded(kind, until, shards, transport, inbox)
+        return _bench_e2e_sharded(kind, until, shards, inbox)
 
     workload = make_workload(kind, QUICK)
     t0 = time.perf_counter()
@@ -256,7 +254,6 @@ def bench_e2e_scenario(kind: str, until: float, shards: int = 1,
 
 
 def _bench_e2e_sharded(kind: str, until: float, shards: int,
-                       transport: Optional[str] = None,
                        inbox: Optional[int] = None) -> Dict:
     """Sharded e2e scenario: sharded run + same-config single reference."""
     import dataclasses
@@ -270,8 +267,7 @@ def _bench_e2e_sharded(kind: str, until: float, shards: int,
     # paper scale flow control would engage constantly and the credit
     # ledger could not certify the run) becomes the engine-wide inbox for
     # *both* runs — the comparison is always same-config.
-    config = JobConfig(shards=shards, shard_inbox_capacity=inbox,
-                       shard_transport=transport)
+    config = JobConfig(shards=shards, shard_inbox_capacity=inbox)
     config = dataclasses.replace(config,
                                  inbox_capacity=config.shard_inbox_capacity)
 
@@ -314,7 +310,6 @@ def _bench_e2e_sharded(kind: str, until: float, shards: int,
             "speedup_measured": (single.wall_s / run_s) if run_s else 0.0,
             "speedup_critical_path": (single_cpu / bottleneck)
             if bottleneck else 0.0,
-            "transport": sharded.transport,
             "inbox_capacity": config.shard_inbox_capacity,
             "sync": sharded.sync_totals(),
             # Per-shard counters minus the raw blocked-wait intervals
@@ -357,20 +352,18 @@ def _reduce_runs(fn, args, best_of: int, stat: str) -> Dict[str, float]:
     raise ValueError(f"unknown stat: {stat!r} (want 'best' or 'median')")
 
 
-def _engine_config(shards: int = 1, transport: Optional[str] = None,
+def _engine_config(shards: int = 1,
                    inbox: Optional[int] = None) -> Dict[str, Any]:
     """The engine settings the e2e scenarios run under."""
     from ..engine.runtime import JobConfig
 
-    config = JobConfig(shard_inbox_capacity=inbox,
-                       shard_transport=transport)
+    config = JobConfig(shard_inbox_capacity=inbox)
     effective_inbox = (config.shard_inbox_capacity if shards > 1
                        else config.inbox_capacity)
     return {"record_plane": config.record_plane,
             "max_batch_size": config.max_batch_size,
             "shards": shards,
-            "inbox_capacity": effective_inbox,
-            "shard_transport": config.shard_transport}
+            "inbox_capacity": effective_inbox}
 
 
 def _check_scale(scale: str) -> Dict[str, Any]:
@@ -406,11 +399,10 @@ def run_kernel_bench(scale: str = "full", best_of: int = BEST_OF,
 
 def run_e2e_bench(scale: str = "full", best_of: int = BEST_OF,
                   stat: str = "best", shards: int = 1,
-                  transport: Optional[str] = None,
                   inbox: Optional[int] = None) -> Dict[str, Any]:
     params = _check_scale(scale)
     scenarios = params["e2e"]
-    args_tail = (shards, transport, inbox)
+    args_tail = (shards, inbox)
     if len(scenarios) == 1:
         # Single-scenario scales keep the flat /2 results shape so the
         # recorded trajectory and committed baselines stay comparable.
@@ -424,7 +416,7 @@ def run_e2e_bench(scale: str = "full", best_of: int = BEST_OF,
                    for kind, until in scenarios}
     return {"schema": BENCH_SCHEMA, "bench": "e2e", "scale": scale,
             "best_of": best_of, "stat": stat,
-            "config": _engine_config(shards, transport, inbox),
+            "config": _engine_config(shards, inbox),
             "results": results}
 
 
@@ -457,15 +449,14 @@ def write_bench_files(output_dir: str = ".",
                       best_of: Optional[int] = None,
                       stat: str = "best",
                       shards: int = 1,
-                      transport: Optional[str] = None,
                       inbox: Optional[int] = None) -> Dict[str, str]:
     """Run the suites and write ``BENCH_kernel.json`` / ``BENCH_e2e.json``.
 
     Returns {bench name: written path}.  ``which`` limits to one suite.
     ``shards`` > 1 runs the e2e scenarios on the sharded kernel (the
     kernel microbenches are single-process by construction);
-    ``transport`` / ``inbox`` select the cut-edge data plane and
-    flow-control window for those runs (None = engine defaults).
+    ``inbox`` selects the flow-control window for those runs (None =
+    engine default).
     """
     import json
     import os
@@ -483,7 +474,7 @@ def write_bench_files(output_dir: str = ".",
             continue
         if name == "e2e":
             doc = runner(scale, best_of=best_of, stat=stat, shards=shards,
-                         transport=transport, inbox=inbox)
+                         inbox=inbox)
         else:
             doc = runner(scale, best_of=best_of, stat=stat)
         _attach_baseline(doc)
@@ -594,7 +585,7 @@ def compare_bench_docs(current: Dict[str, Any], baseline: Dict[str, Any],
 
 #: Config keys whose mismatch makes a bench comparison apples-to-oranges.
 _CONFIG_COMPARE_KEYS = ("record_plane", "max_batch_size", "shards",
-                        "inbox_capacity", "shard_transport")
+                        "inbox_capacity")
 
 
 def config_mismatch_warnings(current: Dict[str, Any],

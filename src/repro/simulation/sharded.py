@@ -23,21 +23,17 @@ synchronizes the workers conservatively (Chandy–Misra–Bryant style):
   ``(time, channel id, FIFO seq)`` order — so ``(time, seq)`` ordering on
   every cut channel is preserved.
 
-**Transports.**  The default data plane (``transport="shm"``) ships each
-flush as a column-packed frame (:mod:`repro.engine.frames`) through a
-shared-memory SPSC ring (:mod:`repro.simulation.shm_ring`) per cut shard
-pair — record batches cross as seven packed numeric columns plus one
-pickle per frame, watermarks as pure structs.  Grants piggyback on data
-frames; a *bare* grant (null message) is sent only when the downstream
-reader has raised its blocked flag in shared memory (demand-driven nulls),
-and each worker adapts its quantum — widening after consecutive productive
-rounds, shrinking on blocked waits — so synchronization overhead tracks
-how tightly the shards are actually coupled.  Frames that exceed the ring
-capacity spill through the legacy pipe behind an in-band marker,
-preserving order.  ``transport="pipe"`` keeps the original
-pickle-over-pipe protocol (fixed quantum, eager nulls) byte-for-byte as a
-baseline and portability fallback; both transports produce identical
-semantic views and both are certified by the same credit ledger.
+**Cut-edge protocol.**  Each directed cut shard pair ``(u, v)`` has one
+``multiprocessing.Pipe``.  A flush sends one ``pickle.HIGHEST_PROTOCOL``
+blob of ``(final, grant, msgs)`` with ``send_bytes`` whenever there are
+staged messages or the grant advanced, so grants piggyback on data and a
+bare grant (null message) only goes out when the grant moved.  A worker
+that cannot advance blocks in ``multiprocessing.connection.wait`` on its
+upstream connections.  Each worker adapts its quantum — widening after
+consecutive productive rounds, shrinking on blocked waits — so
+synchronization overhead tracks how tightly the shards are coupled.  A
+message larger than the OS pipe buffer simply blocks its writer until the
+reader drains it; the reader's main loop polls every pass.
 
 The shard graph is feed-forward (contiguous topological segments), so the
 first shard always progresses and the pipeline never deadlocks; speedup is
@@ -73,10 +69,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..engine.frames import decode_frame, encode_frame
 from ..engine.records import RecordBatch
 from ..engine.routing import ShardPlan, partition_graph, topological_order
-from .shm_ring import DEFAULT_RING_BYTES, SPILL, ShmRing
 
 __all__ = [
     "ShardSpec",
@@ -91,7 +85,7 @@ __all__ = [
 
 #: Default (initial) sim-seconds a worker advances per synchronization
 #: pass.  Only transport-batching granularity — runahead is unbounded
-#: (feed-forward DAG).  The shm transport widens it adaptively up to
+#: (feed-forward DAG).  Each worker widens it adaptively up to
 #: ``quantum * QUANTUM_GROWTH_LIMIT`` while rounds stay productive.
 DEFAULT_QUANTUM = 0.25
 
@@ -185,11 +179,6 @@ class ShardSpec:
     config_kwargs: Dict[str, Any] = field(default_factory=dict)
     collect_sinks: bool = False
     trace_watermarks: bool = False
-    #: Cut-edge transport this run uses: ``"shm"`` or ``"pipe"``.
-    transport: str = "shm"
-    #: Whether the quantum adapts (shm protocol) or stays fixed (legacy
-    #: pipe protocol).
-    adaptive_quantum: bool = True
     #: Per-edge inbox-capacity overrides (edge name -> capacity) from the
     #: plan's cut hints; applied to matching *local* channels so a shard's
     #: internal flow control matches the overridden reference run.
@@ -600,13 +589,10 @@ def _inject(ic, kind: str, element) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cut-edge transports
+# Cut-edge protocol
 # ---------------------------------------------------------------------------
 
-#: Blocked/writer-full wait backoff: start, cap (seconds).
-_WAIT_MIN = 5e-5
-_WAIT_MAX = 2e-3
-#: Safety bound on one blocked wait (mirrors the legacy 10 s poll timeout).
+#: Safety bound on one blocked wait.
 _WAIT_LIMIT = 10.0
 #: Max blocked-wait intervals kept for the telemetry trace.
 _MAX_INTERVALS = 4096
@@ -616,42 +602,30 @@ class _SyncStats:
     """Per-worker synchronization-protocol counters (one per worker,
     shared by all of its senders; shipped in the result bundle)."""
 
-    __slots__ = ("transport", "null_sent", "null_suppressed",
-                 "grant_rounds", "frames_sent", "msgs_sent",
-                 "bytes_shipped", "spills", "batch_fallbacks",
-                 "blocked_waits", "blocked_wait_s", "writer_full_wait_s",
+    __slots__ = ("null_sent", "grant_rounds", "frames_sent", "msgs_sent",
+                 "bytes_shipped", "blocked_waits", "blocked_wait_s",
                  "blocked_intervals")
 
-    def __init__(self, transport: str):
-        self.transport = transport
-        self.null_sent = 0           # bare-grant frames actually sent
-        self.null_suppressed = 0     # grant advances not sent (no demand)
+    def __init__(self):
+        self.null_sent = 0           # bare-grant frames sent
         self.grant_rounds = 0        # synchronization rounds (flush calls)
         self.frames_sent = 0
         self.msgs_sent = 0           # staged cut-edge messages shipped
         self.bytes_shipped = 0
-        self.spills = 0              # frames too large for the ring
-        self.batch_fallbacks = 0     # batches that needed whole-pickle
         self.blocked_waits = 0
         self.blocked_wait_s = 0.0
-        self.writer_full_wait_s = 0.0
         #: (start, end) wall seconds relative to worker start, capped.
         self.blocked_intervals: List[Tuple[float, float]] = []
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "transport": self.transport,
             "null_sent": self.null_sent,
-            "null_suppressed": self.null_suppressed,
             "grant_rounds": self.grant_rounds,
             "frames_sent": self.frames_sent,
             "msgs_sent": self.msgs_sent,
             "bytes_shipped": self.bytes_shipped,
-            "spills": self.spills,
-            "batch_fallbacks": self.batch_fallbacks,
             "blocked_waits": self.blocked_waits,
             "blocked_wait_s": self.blocked_wait_s,
-            "writer_full_wait_s": self.writer_full_wait_s,
             "blocked_intervals": self.blocked_intervals,
         }
 
@@ -663,18 +637,16 @@ class _AdaptiveQuantum:
     Host pacing only — the quantum never changes *what* is simulated
     (injection times are exact), just how much sim-time each
     synchronization round covers, i.e. how often the worker pays flush +
-    grant overhead.  ``growth_limit=1`` pins the quantum (legacy
-    fixed-quantum behaviour).
+    grant overhead.
     """
 
     __slots__ = ("value", "initial", "qmax", "streak", "widenings",
                  "shrinks")
 
-    def __init__(self, initial: float,
-                 growth_limit: float = QUANTUM_GROWTH_LIMIT):
+    def __init__(self, initial: float):
         self.value = initial
         self.initial = initial
-        self.qmax = initial * growth_limit
+        self.qmax = initial * QUANTUM_GROWTH_LIMIT
         self.streak = 0
         self.widenings = 0
         self.shrinks = 0
@@ -695,97 +667,10 @@ class _AdaptiveQuantum:
             self.shrinks += 1
 
 
-class _ShmSender:
-    """Upstream endpoint of one cut shard pair over a shared-memory ring.
-
-    Data frames always carry the current grant (piggybacking).  Bare
-    grants are demand-driven: sent only when the grant advanced *and* the
-    downstream reader has raised its blocked flag — otherwise the advance
-    is only noted (``null_suppressed``) and will piggyback on the next
-    data frame, or be sent late if the reader blocks on it after all.
-    """
-
-    __slots__ = ("ring", "spill", "stats", "sent_grant", "seen_grant")
-
-    def __init__(self, ring: ShmRing, spill, stats: _SyncStats):
-        self.ring = ring
-        self.spill = spill  # legacy pipe: oversized-frame side channel
-        self.stats = stats
-        self.sent_grant = -1.0  # grant the receiver has actually seen
-        self.seen_grant = -1.0  # newest grant observed (sent or not)
-
-    def send(self, msgs: Optional[List], grant: float, final: bool) -> None:
-        stats = self.stats
-        if msgs or final:
-            data = encode_frame(msgs or (), grant, final, stats=stats)
-            if msgs:
-                stats.msgs_sent += len(msgs)
-                # Safe even though the ring write below may still be
-                # waiting for space: the frame bytes captured everything
-                # (columns copied, object payloads pickled) at encode
-                # time, so clearing/mutating the staging list or the
-                # elements cannot corrupt the receiver.  Regression:
-                # tests/simulation/test_shm_ring.py.
-                msgs.clear()
-            self._push(data)
-            self.sent_grant = self.seen_grant = grant
-            return
-        if grant > self.seen_grant:
-            self.seen_grant = grant
-            if self.ring.reader_blocked():
-                self._push(encode_frame((), grant, False))
-                self.sent_grant = grant
-                stats.null_sent += 1
-            else:
-                stats.null_suppressed += 1
-        elif grant > self.sent_grant and self.ring.reader_blocked():
-            # Previously-suppressed grant, but the reader has since
-            # blocked on it: deliver the null message now.
-            self._push(encode_frame((), grant, False))
-            self.sent_grant = grant
-            stats.null_sent += 1
-
-    def _push(self, data: bytes) -> None:
-        stats = self.stats
-        ring = self.ring
-        stats.frames_sent += 1
-        stats.bytes_shipped += len(data)
-        if len(data) + 4 > ring.capacity:
-            # Frame larger than the ring: in-band marker first (keeps
-            # frame order), then the payload over the side pipe.  The
-            # marker-before-payload order matters — the reader only does
-            # a blocking pipe read after consuming the marker, so the
-            # writer can never wedge mid-protocol.
-            stats.spills += 1
-            t0 = time.perf_counter()
-            delay = _WAIT_MIN
-            while not ring.push_spill_marker():
-                time.sleep(delay)
-                if delay < _WAIT_MAX:
-                    delay *= 2
-            stats.writer_full_wait_s += time.perf_counter() - t0
-            self.spill.send_bytes(data)
-            return
-        if ring.push(data):
-            return
-        # Ring full: the reader always drains (its main loop and its
-        # blocked wait both poll), so back off until space frees up —
-        # the shm analogue of the legacy pipe-full blocking write.
-        t0 = time.perf_counter()
-        delay = _WAIT_MIN
-        while not ring.push(data):
-            time.sleep(delay)
-            if delay < _WAIT_MAX:
-                delay *= 2
-        stats.writer_full_wait_s += time.perf_counter() - t0
-
-
-class _PipeSender:
-    """Legacy transport: the PR 8 pickle-over-pipe protocol, unchanged on
-    the wire in all but pickle protocol number — grants are sent eagerly
-    on every advance (no demand tracking), data rides whole-object
-    pickles.  Kept as the portability fallback and as the measurable
-    baseline the shm transport's counters are compared against."""
+class _Sender:
+    """Upstream endpoint of one cut shard pair: one pickled
+    ``(final, grant, msgs)`` blob per flush that has messages or an
+    advanced grant."""
 
     __slots__ = ("conn", "stats", "sent_grant")
 
@@ -797,9 +682,8 @@ class _PipeSender:
     def send(self, msgs: Optional[List], grant: float, final: bool) -> None:
         if msgs or grant > self.sent_grant:
             stats = self.stats
-            payload = pickle.dumps(
-                ("done" if final else "adv", grant, msgs or []),
-                _PICKLE_PROTO)
+            payload = pickle.dumps((final, grant, msgs or []),
+                                   _PICKLE_PROTO)
             if msgs:
                 stats.msgs_sent += len(msgs)
                 # The dumps() above captured the list synchronously;
@@ -814,63 +698,29 @@ class _PipeSender:
             stats.bytes_shipped += len(payload)
 
 
-class _ShmReceiver:
-    """Downstream endpoint of one cut pair: drains frames off the ring
-    (fetching spilled payloads from the side pipe) and tracks the
+class _Receiver:
+    """Downstream endpoint of one cut shard pair (counterpart of
+    :class:`_Sender`): drains every available blob and tracks the
     upstream grant."""
 
-    __slots__ = ("ring", "spill", "grant", "done")
+    __slots__ = ("conn", "grant")
 
-    def __init__(self, ring: ShmRing, spill):
-        self.ring = ring
-        self.spill = spill
+    def __init__(self, conn):
+        self.conn = conn
         self.grant = 0.0
-        self.done = False
 
     def poll(self, out: List) -> bool:
-        """Decode every available frame into ``out``; True if any frame
+        """Unpickle every available blob into ``out``; True if any blob
         (data or bare grant) arrived."""
         got = False
-        ring = self.ring
-        while True:
-            item = ring.pop()
-            if item is None:
-                break
-            if item is SPILL:
-                item = self.spill.recv_bytes()
-            grant, final, msgs = decode_frame(item)
+        conn = self.conn
+        while conn.poll():
+            final, grant, msgs = pickle.loads(conn.recv_bytes())
             got = True
             if grant > self.grant:
                 self.grant = grant
             if final:
                 self.grant = math.inf
-                self.done = True
-            if msgs:
-                out.extend(msgs)
-        return got
-
-
-class _PipeReceiver:
-    """Legacy receive endpoint (counterpart of :class:`_PipeSender`)."""
-
-    __slots__ = ("conn", "grant", "done")
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.grant = 0.0
-        self.done = False
-
-    def poll(self, out: List) -> bool:
-        got = False
-        conn = self.conn
-        while conn.poll():
-            kind, grant, msgs = pickle.loads(conn.recv_bytes())
-            got = True
-            if grant > self.grant:
-                self.grant = grant
-            if kind == "done":
-                self.grant = math.inf
-                self.done = True
             if msgs:
                 out.extend(msgs)
         return got
@@ -894,25 +744,11 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
                 ics[cid] = ch.input_channel
 
         until = spec.until
-        use_shm = spec.transport == "shm"
-        stats = _SyncStats(spec.transport)
-        aq = _AdaptiveQuantum(
-            spec.quantum,
-            QUANTUM_GROWTH_LIMIT if spec.adaptive_quantum else 1.0)
-        senders = {}
-        for d, endpoint in downstream.items():
-            if use_shm:
-                ring, spill = endpoint
-                senders[d] = _ShmSender(ring, spill, stats)
-            else:
-                senders[d] = _PipeSender(endpoint, stats)
-        receivers = {}
-        for u, endpoint in upstream.items():
-            if use_shm:
-                ring, spill = endpoint
-                receivers[u] = _ShmReceiver(ring, spill)
-            else:
-                receivers[u] = _PipeReceiver(endpoint)
+        stats = _SyncStats()
+        aq = _AdaptiveQuantum(spec.quantum)
+        senders = {d: _Sender(conn, stats) for d, conn in downstream.items()}
+        receivers = {u: _Receiver(conn) for u, conn in upstream.items()}
+        conns = [rx.conn for rx in receivers.values()]
         grants = {u: 0.0 for u in upstream}
         # Staged ingress: heap of (time, channel_id, seq, kind, payload).
         staged: List[Tuple] = []
@@ -950,32 +786,8 @@ def _worker_main(shard_id: int, workload_factory, spec_conn, result_conn,
             # Blocked wait: nothing new and the caller cannot advance.
             stats.blocked_waits += 1
             w0 = time.perf_counter()
-            if use_shm:
-                # Raise the blocked flag on the *binding* upstream rings
-                # (grant == the current minimum) — that is the demand
-                # signal their writers' null messages are gated on.  The
-                # re-poll after raising the flags closes the race with a
-                # writer that pushed between our first poll and the flag.
-                low = min(grants.values()) if grants else math.inf
-                flagged = [rx for u, rx in receivers.items()
-                           if not rx.done and grants[u] <= low]
-                for rx in flagged:
-                    rx.ring.set_blocked(True)
-                delay = _WAIT_MIN
-                try:
-                    while not poll_all():
-                        if time.perf_counter() - w0 > _WAIT_LIMIT:
-                            break
-                        time.sleep(delay)
-                        if delay < _WAIT_MAX:
-                            delay *= 2
-                finally:
-                    for rx in flagged:
-                        rx.ring.set_blocked(False)
-            else:
-                conns = [rx.conn for rx in receivers.values()]
-                multiprocessing.connection.wait(conns, timeout=_WAIT_LIMIT)
-                poll_all()
+            multiprocessing.connection.wait(conns, timeout=_WAIT_LIMIT)
+            poll_all()
             w1 = time.perf_counter()
             stats.blocked_wait_s += w1 - w0
             if len(stats.blocked_intervals) < _MAX_INTERVALS:
@@ -1157,7 +969,7 @@ class ShardedRunResult:
                  backpressure_safe: bool = True,
                  backpressure_detail=None, until: float = 0.0,
                  replans: int = 0, forbidden_cuts=None,
-                 transport: Optional[str] = None, sync_per_shard=None):
+                 sync_per_shard=None):
         self.view = view
         self.shards = shards
         self.plan = plan
@@ -1170,8 +982,6 @@ class ShardedRunResult:
         self.until = until
         self.replans = replans
         self.forbidden_cuts = sorted(forbidden_cuts or [])
-        #: ``"shm"`` / ``"pipe"`` for sharded runs, None single-process.
-        self.transport = transport
         #: Per-shard sync-protocol counter dicts (see ``_SyncStats``).
         self.sync_per_shard: List[Dict[str, Any]] = sync_per_shard or []
         self._flagged_edges: set = set()
@@ -1203,13 +1013,15 @@ class ShardedRunResult:
         single-process runs."""
         if not self.sync_per_shard:
             return {}
-        totals: Dict[str, Any] = {"transport": self.transport}
-        for key in ("null_sent", "null_suppressed", "grant_rounds",
-                    "frames_sent", "msgs_sent", "bytes_shipped", "spills",
-                    "batch_fallbacks", "blocked_waits"):
+        totals: Dict[str, Any] = {}
+        for key in ("null_sent", "grant_rounds", "frames_sent", "msgs_sent",
+                    "bytes_shipped", "blocked_waits"):
             totals[key] = sum(s.get(key, 0) for s in self.sync_per_shard)
-        for key in ("blocked_wait_s", "writer_full_wait_s"):
-            totals[key] = sum(s.get(key, 0.0) for s in self.sync_per_shard)
+        totals["blocked_wait_s"] = sum(s.get("blocked_wait_s", 0.0)
+                                       for s in self.sync_per_shard)
+        # The pipe never spills; the key stays (always 0) because
+        # perfbench/bench_workloads.py reads it.
+        totals["spills"] = 0
         return totals
 
     # -- equivalence -------------------------------------------------------
@@ -1275,9 +1087,8 @@ def run_sharded(workload_factory, *, until: float, shards: int,
                 trace_watermarks: bool = False,
                 quantum: float = DEFAULT_QUANTUM,
                 max_replans: int = 1,
-                transport: Optional[str] = None,
                 cut_inbox: Optional[Dict[str, int]] = None,
-                ring_bytes=None) -> ShardedRunResult:
+                ) -> ShardedRunResult:
     """Run a workload to ``until`` across ``shards`` worker processes.
 
     ``workload_factory`` must be a zero-argument callable returning a
@@ -1287,13 +1098,9 @@ def run_sharded(workload_factory, *, until: float, shards: int,
     :func:`run_single_reference` when ``shards <= 1``, the plan collapses
     to one shard, or the platform cannot fork.
 
-    ``transport`` picks the cut-edge data plane (``"shm"`` / ``"pipe"`` /
-    ``"auto"``); None defers to ``job_config.shard_transport``.  ``"auto"``
-    prefers shm and degrades to pipe if shared memory is unavailable.
-    ``cut_inbox`` maps edge names to per-cut-edge inbox-capacity overrides
-    and ``ring_bytes`` (int or per-edge mapping) sizes the shared-memory
-    rings; both are recorded as cut hints on the partition plan.  A caller
-    that passes ``cut_inbox`` must pass the same mapping to
+    ``cut_inbox`` maps edge names to per-cut-edge inbox-capacity overrides,
+    recorded as cut hints on the partition plan.  A caller that passes
+    ``cut_inbox`` must pass the same mapping to
     :func:`run_single_reference` (``inbox_overrides``) for equivalence
     comparisons.
 
@@ -1317,10 +1124,6 @@ def run_sharded(workload_factory, *, until: float, shards: int,
             workload_factory, until=until, job_config=config,
             collect_sinks=collect_sinks, trace_watermarks=trace_watermarks,
             inbox_overrides=cut_inbox)
-    if transport is None:
-        transport = getattr(config, "shard_transport", None) or "auto"
-    if transport == "auto":
-        transport = "shm"
 
     # Plan on a throwaway build (actual channel latencies, no run).
     probe_workload = workload_factory()
@@ -1338,11 +1141,11 @@ def run_sharded(workload_factory, *, until: float, shards: int,
                 collect_sinks=collect_sinks,
                 trace_watermarks=trace_watermarks,
                 inbox_overrides=cut_inbox)
-        plan.annotate_cuts(ring_bytes=ring_bytes, inbox_overrides=cut_inbox)
+        plan.annotate_cuts(inbox_overrides=cut_inbox)
         result = _run_sharded_once(
             workload_factory, probe_job, plan, config, until=until,
             collect_sinks=collect_sinks, trace_watermarks=trace_watermarks,
-            quantum=quantum, transport=transport)
+            quantum=quantum)
         result.replans = replans
         result.forbidden_cuts = sorted(forbidden)
         flagged = result._flagged_edges & set(plan.cut_edges)
@@ -1352,123 +1155,76 @@ def run_sharded(workload_factory, *, until: float, shards: int,
         replans += 1
 
 
-def _pair_ring_bytes(plan, pair_edges: Dict[Tuple[int, int], List[str]],
-                     pair) -> int:
-    """Ring capacity for one cut shard pair: the max ``ring_bytes`` hint
-    over the pair's edges, defaulting to :data:`DEFAULT_RING_BYTES`."""
-    best = 0
-    for name in pair_edges.get(pair, ()):
-        best = max(best, plan.cut_hints.get(name, {}).get("ring_bytes", 0))
-    return best or DEFAULT_RING_BYTES
-
-
 def _run_sharded_once(workload_factory, probe_job, plan, config, *,
                       until: float, collect_sinks: bool,
                       trace_watermarks: bool, quantum: float,
-                      transport: str = "shm") -> ShardedRunResult:
+                      ) -> ShardedRunResult:
     ctx = multiprocessing.get_context("fork")
     spec_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
-    # One pipe per cut shard pair (u -> v): the data plane for the pipe
-    # transport, the oversized-frame spill channel for shm.
-    pairs = set()
-    pair_edges: Dict[Tuple[int, int], List[str]] = {}
+    # One pipe per directed cut shard pair (u -> v): the data plane.
     shard_of = plan.shard_of
-    for e in probe_job.graph.edges:
-        s, d = shard_of[e.src], shard_of[e.dst]
-        if s != d:
-            pairs.add((s, d))
-            pair_edges.setdefault((s, d), []).append(e.name)
-    pair_pipes = {pair: ctx.Pipe(duplex=False) for pair in sorted(pairs)}
-
-    # Shared-memory rings, created by the parent *before* forking so the
-    # workers inherit the mappings (nothing pickled, no re-attach); the
-    # parent closes and unlinks them after the run.
-    rings: Dict[Tuple[int, int], ShmRing] = {}
-    if transport == "shm":
-        try:
-            for pair in sorted(pairs):
-                rings[pair] = ShmRing(_pair_ring_bytes(plan, pair_edges,
-                                                       pair))
-        except OSError as exc:  # pragma: no cover - shm-less platforms
-            for ring in rings.values():
-                ring.close()
-                ring.unlink()
-            rings.clear()
-            transport = "pipe"
-            warnings.warn(
-                f"shared-memory transport unavailable ({exc}); falling "
-                f"back to the pipe transport", RuntimeWarning,
-                stacklevel=2)
+    pairs = sorted({(shard_of[e.src], shard_of[e.dst])
+                    for e in probe_job.graph.edges
+                    if shard_of[e.src] != shard_of[e.dst]})
+    pair_pipes = {pair: ctx.Pipe(duplex=False) for pair in pairs}
 
     inbox_overrides = {name: hints["inbox_capacity"]
                        for name, hints in plan.cut_hints.items()
                        if "inbox_capacity" in hints}
 
-    def endpoint(pair, end: int):
-        # end 0 = receiver side, 1 = sender side of the pair's pipe.
-        if transport == "shm":
-            return (rings[pair], pair_pipes[pair][end])
-        return pair_pipes[pair][end]
-
     workers = []
     t0 = time.perf_counter()
-    try:
-        for sid in range(plan.num_shards):
-            up = {u: endpoint((u, v), 0) for (u, v) in pairs if v == sid}
-            down = {v: endpoint((u, v), 1) for (u, v) in pairs if u == sid}
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(sid, workload_factory, spec_pipes[sid][0],
-                      result_pipes[sid][1], up, down),
-                name=f"repro-shard-{sid}", daemon=True)
-            proc.start()
-            workers.append(proc)
-        spec = ShardSpec(shard_id=0, shards=plan.shards, until=until,
-                         quantum=quantum,
-                         config_kwargs=_config_kwargs(config),
-                         collect_sinks=collect_sinks,
-                         trace_watermarks=trace_watermarks,
-                         transport=transport,
-                         adaptive_quantum=(transport == "shm"),
-                         inbox_overrides=inbox_overrides)
-        for sid in range(plan.num_shards):
-            spec_pipes[sid][1].send(dataclasses.replace(spec,
-                                                        shard_id=sid))
+    for sid in range(plan.num_shards):
+        up = {u: pair_pipes[u, v][0] for (u, v) in pairs if v == sid}
+        down = {v: pair_pipes[u, v][1] for (u, v) in pairs if u == sid}
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(sid, workload_factory, spec_pipes[sid][0],
+                  result_pipes[sid][1], up, down),
+            name=f"repro-shard-{sid}", daemon=True)
+        proc.start()
+        workers.append(proc)
+    spec = ShardSpec(shard_id=0, shards=plan.shards, until=until,
+                     quantum=quantum,
+                     config_kwargs=_config_kwargs(config),
+                     collect_sinks=collect_sinks,
+                     trace_watermarks=trace_watermarks,
+                     inbox_overrides=inbox_overrides)
+    for sid in range(plan.num_shards):
+        spec_pipes[sid][1].send(dataclasses.replace(spec, shard_id=sid))
 
-        bundles: Dict[int, Dict] = {}
-        try:
-            pending = {sid: result_pipes[sid][0]
-                       for sid in range(plan.num_shards)}
-            while pending:
-                ready = multiprocessing.connection.wait(
-                    list(pending.values()), timeout=1.0)
-                if not ready:
-                    for sid, proc in enumerate(workers):
-                        if (sid not in bundles
-                                and proc.exitcode not in (None, 0)):
-                            raise RuntimeError(
-                                f"shard {sid} worker died "
-                                f"(exit {proc.exitcode})")
-                    continue
-                for conn in ready:
-                    sid = next(s for s, c in pending.items() if c is conn)
-                    status, payload = conn.recv()
-                    if status == "err":
+    bundles: Dict[int, Dict] = {}
+    try:
+        pending = {sid: result_pipes[sid][0]
+                   for sid in range(plan.num_shards)}
+        while pending:
+            ready = multiprocessing.connection.wait(
+                list(pending.values()), timeout=1.0)
+            if not ready:
+                for sid, proc in enumerate(workers):
+                    if (sid not in bundles
+                            and proc.exitcode not in (None, 0)):
                         raise RuntimeError(
-                            f"shard {sid} worker failed:\n{payload}")
-                    bundles[sid] = payload
-                    del pending[sid]
-            for proc in workers:
-                proc.join(timeout=30.0)
-        finally:
-            for proc in workers:
-                if proc.is_alive():
-                    proc.terminate()
+                            f"shard {sid} worker died "
+                            f"(exit {proc.exitcode})")
+                continue
+            for conn in ready:
+                sid = next(s for s, c in pending.items() if c is conn)
+                status, payload = conn.recv()
+                if status == "err":
+                    raise RuntimeError(
+                        f"shard {sid} worker failed:\n{payload}")
+                bundles[sid] = payload
+                del pending[sid]
+        for proc in workers:
+            proc.join(timeout=30.0)
     finally:
-        for ring in rings.values():
-            ring.close()
-            ring.unlink()
+        for proc in workers:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in workers:
+            proc.join(timeout=5.0)
     wall = time.perf_counter() - t0
 
     ordered = [bundles[sid] for sid in range(plan.num_shards)]
@@ -1490,7 +1246,6 @@ def _run_sharded_once(workload_factory, probe_job, plan, config, *,
         worker_cpus=[b.get("cpu_s", 0.0) for b in ordered],
         backpressure_safe=backpressure_safe,
         backpressure_detail=detail, until=until,
-        transport=transport,
         sync_per_shard=[b.get("sync", {}) for b in ordered])
     result._flagged_edges = flagged
     return result

@@ -2,8 +2,8 @@
 
 The sharded kernel (:mod:`repro.simulation.sharded`) runs its workers in
 separate processes, outside the in-process tracer — so each worker ships
-its synchronization-protocol counters (null messages sent/suppressed,
-grant rounds, cut-edge bytes, blocked waits) home in its result bundle
+its synchronization-protocol counters (null messages sent, grant
+rounds, cut-edge bytes, blocked waits) home in its result bundle
 instead of writing spans live.  This module turns those bundles into the
 same artefact shapes the rest of the telemetry subsystem produces:
 
@@ -25,7 +25,7 @@ clock alignment beyond "all workers fork together".
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 __all__ = ["shard_sync_events", "to_shard_sync_trace",
            "write_shard_sync_trace"]
@@ -35,16 +35,14 @@ _US = 1e6
 
 #: Counter keys rendered into each shard's summary instant event, in
 #: display order.  ``blocked_intervals`` is rendered as spans instead.
-_COUNTER_KEYS = ("transport", "null_sent", "null_suppressed",
-                 "grant_rounds", "frames_sent", "msgs_sent",
-                 "bytes_shipped", "spills", "batch_fallbacks",
-                 "blocked_waits", "blocked_wait_s", "writer_full_wait_s",
+_COUNTER_KEYS = ("null_sent", "grant_rounds", "frames_sent", "msgs_sent",
+                 "bytes_shipped", "blocked_waits", "blocked_wait_s",
                  "quantum_initial", "quantum_final", "quantum_max",
                  "quantum_widenings", "quantum_shrinks")
 
 
-def shard_sync_events(sync_per_shard: Sequence[Dict[str, Any]],
-                      transport: Optional[str] = None) -> List[Dict]:
+def shard_sync_events(sync_per_shard: Sequence[Dict[str, Any]]
+                      ) -> List[Dict]:
     """Trace events for a sharded run's sync bundles, one thread per shard.
 
     ``sync_per_shard`` is :attr:`ShardedRunResult.sync_per_shard` — the
@@ -54,8 +52,7 @@ def shard_sync_events(sync_per_shard: Sequence[Dict[str, Any]],
     pid = 1
     events: List[Dict] = [{
         "name": "process_name", "ph": "M", "pid": pid,
-        "args": {"name": "repro-shards"
-                         + (f" ({transport})" if transport else "")},
+        "args": {"name": "repro-shards"},
     }]
     for sid, sync in enumerate(sync_per_shard):
         tid = sid + 1
@@ -77,19 +74,16 @@ def shard_sync_events(sync_per_shard: Sequence[Dict[str, Any]],
     return events
 
 
-def to_shard_sync_trace(sync_per_shard: Sequence[Dict[str, Any]],
-                        transport: Optional[str] = None) -> Dict[str, Any]:
+def to_shard_sync_trace(sync_per_shard: Sequence[Dict[str, Any]]
+                        ) -> Dict[str, Any]:
     """A full Chrome Trace Event Format document (see module docstring)."""
-    return {"traceEvents": shard_sync_events(sync_per_shard,
-                                             transport=transport),
+    return {"traceEvents": shard_sync_events(sync_per_shard),
             "displayTimeUnit": "ms"}
 
 
 def write_shard_sync_trace(sync_per_shard: Sequence[Dict[str, Any]],
-                           path: str,
-                           transport: Optional[str] = None) -> str:
+                           path: str) -> str:
     with open(path, "w") as f:
-        json.dump(to_shard_sync_trace(sync_per_shard,
-                                      transport=transport), f, indent=1)
+        json.dump(to_shard_sync_trace(sync_per_shard), f, indent=1)
         f.write("\n")
     return path

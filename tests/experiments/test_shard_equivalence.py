@@ -9,14 +9,19 @@ mechanism that could make the conservative schedule diverge).  These
 tests spawn real worker processes.
 """
 
+import multiprocessing
 import os
+import signal
 import sys
+import time
 
 import pytest
 
+from repro.engine.operators import SinkLogic
 from repro.engine.runtime import JobConfig
 from repro.experiments.harness import ExperimentConfig, run_experiment
-from repro.simulation.sharded import (run_sharded, run_single_reference,
+from repro.simulation.sharded import (DEFAULT_QUANTUM, run_sharded,
+                                      run_single_reference,
                                       supports_sharding)
 from repro.workloads.nexmark import NexmarkQ7
 from repro.workloads.twitch import TwitchWorkload
@@ -119,98 +124,117 @@ def test_supports_sharding_gate_matches_fallbacks():
 
 
 # ---------------------------------------------------------------------------
-# Transport matrix: the shm frame data plane vs the pipe baseline
+# Cut-edge protocol: pickled messages over one pipe per cut shard pair
 # ---------------------------------------------------------------------------
 
-def _run_transport(workload_cls, transport, *, until, shards):
-    return run_sharded(
-        workload_cls, until=until, shards=shards,
-        job_config=_SHARD_CONFIG, collect_sinks=True,
-        trace_watermarks=True, transport=transport)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_transport_equivalent_to_single(transport):
-    single = run_single_reference(
-        NexmarkQ7, until=25.0, job_config=_SHARD_CONFIG,
-        collect_sinks=True, trace_watermarks=True)
-    multi = _run_transport(NexmarkQ7, transport, until=25.0, shards=2)
-    assert multi.transport == transport
-    _assert_equivalent(single, multi)
-    assert multi.view["sinks"] == single.view["sinks"]
-    assert multi.view["watermark_traces"] == single.view["watermark_traces"]
-
-
-def test_pipe_and_shm_agree_on_seeded_twitch():
-    """The ISSUE's equivalence bar: a seeded, chaos-free Twitch run is
-    byte-identical across transports (sinks, digests, watermarks)."""
-    pipe = _run_transport(TwitchWorkload, "pipe", until=15.0, shards=3)
-    shm = _run_transport(TwitchWorkload, "shm", until=15.0, shards=3)
-    assert pipe.backpressure_safe and shm.backpressure_safe
-    pv, sv = pipe.semantic_view(), shm.semantic_view()
-    assert set(pv) == set(sv)
-    for key in pv:
-        assert sv[key] == pv[key], f"semantic_view[{key!r}] diverged"
-    assert shm.view["sinks"] == pipe.view["sinks"]
-    assert shm.view["state_digests"] == pipe.view["state_digests"]
-    assert shm.view["watermark_traces"] == pipe.view["watermark_traces"]
-
-
 def test_sync_counters_present_and_directional():
-    """The shm protocol must demonstrably do *less* synchronization work
-    than the pipe baseline on the same run: fewer frames (adaptive
-    quantum merges rounds) and no more bare nulls than the pipe's
-    eager-null count."""
-    pipe = _run_transport(NexmarkQ7, "pipe", until=25.0, shards=2)
-    shm = _run_transport(NexmarkQ7, "shm", until=25.0, shards=2)
-    pt, st = pipe.sync_totals(), shm.sync_totals()
-    assert pt["transport"] == "pipe" and st["transport"] == "shm"
-    for totals in (pt, st):
-        assert totals["grant_rounds"] > 0
-        assert totals["frames_sent"] > 0
-        assert totals["msgs_sent"] > 0
-        assert totals["bytes_shipped"] > 0
-    # identical cut-edge message stream on both transports
-    assert st["msgs_sent"] == pt["msgs_sent"]
-    # adaptive quantum: strictly fewer synchronization rounds and frames
-    assert st["grant_rounds"] < pt["grant_rounds"]
-    assert st["frames_sent"] < pt["frames_sent"]
-    # demand-driven nulls never exceed the eager baseline
-    assert st["null_sent"] <= pt["null_sent"] + pt["null_suppressed"]
-    # per-shard breakdown matches the worker count
-    assert len(shm.sync_per_shard) == shm.shards
-    for sync in shm.sync_per_shard:
-        assert sync["transport"] == "shm"
+    """The adaptive quantum merges synchronization rounds: every shard
+    takes fewer rounds than a fixed quantum would need to cover the run,
+    and the source shard (never blocked) widens its quantum."""
+    until = 25.0
+    multi = run_sharded(NexmarkQ7, until=until, shards=2,
+                        job_config=_SHARD_CONFIG)
+    totals = multi.sync_totals()
+    assert totals["msgs_sent"] > 0
+    assert totals["frames_sent"] > 0
+    assert totals["bytes_shipped"] > 0
+    assert totals["spills"] == 0
+    assert len(multi.sync_per_shard) == multi.shards
+    for sync in multi.sync_per_shard:
+        assert 0 < sync["grant_rounds"] < until / DEFAULT_QUANTUM
         assert sync["quantum_final"] >= sync["quantum_initial"]
+    assert multi.sync_per_shard[0]["quantum_widenings"] > 0
 
 
-def test_auto_transport_resolves_to_shm():
-    multi = _run_transport(NexmarkQ7, None, until=10.0, shards=2)
-    assert multi.transport == "shm"
-    multi = run_sharded(
-        NexmarkQ7, until=10.0, shards=2,
-        job_config=JobConfig(inbox_capacity=256, shard_transport="pipe"),
-        collect_sinks=True)
-    assert multi.transport == "pipe"
-
-
-def test_oversized_frames_spill_through_the_pipe():
-    """A ring far smaller than one flush forces the spill path; results
-    must still be exact."""
+def test_large_messages_block_the_writer_mid_message():
+    """A quantum wide enough that the average blob exceeds the Linux pipe
+    buffer (64 KiB): the writer blocks mid-message until the reader
+    drains, and results still equal single-process."""
     single = run_single_reference(
         NexmarkQ7, until=15.0, job_config=_SHARD_CONFIG,
         collect_sinks=True, trace_watermarks=True)
     multi = run_sharded(
         NexmarkQ7, until=15.0, shards=2, job_config=_SHARD_CONFIG,
-        collect_sinks=True, trace_watermarks=True, transport="shm",
-        ring_bytes=4096)
-    assert multi.sync_totals()["spills"] > 0
+        collect_sinks=True, trace_watermarks=True, quantum=5.0)
+    totals = multi.sync_totals()
+    assert totals["bytes_shipped"] / totals["frames_sent"] > 65536
     _assert_equivalent(single, multi)
+    assert multi.view["sinks"] == single.view["sinks"]
+
+
+# ---------------------------------------------------------------------------
+# Worker death: the parent fails loudly and leaves nothing behind
+# ---------------------------------------------------------------------------
+
+_KILL_AT = 20.0
+_PARENT_PID = os.getpid()
+
+
+def _kill_in_worker():
+    # The parent also builds the workload (the planning probe) but never
+    # runs it; only a forked worker may die.
+    if os.getpid() != _PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _SourceShardDies(NexmarkQ7):
+    """Q7 whose source shard SIGKILLs itself at sim-t ``_KILL_AT``."""
+
+    def generators(self, job):
+        yield from super().generators(job)
+
+        def killer():
+            yield _KILL_AT
+            _kill_in_worker()
+
+        yield killer()
+
+
+class _DyingSink(SinkLogic):
+    def on_record(self, record, instance):
+        if instance.sim.now >= _KILL_AT:
+            _kill_in_worker()
+        return super().on_record(record, instance)
+
+    def on_record_at(self, record, instance, at_time):
+        if at_time >= _KILL_AT:
+            _kill_in_worker()
+        return super().on_record_at(record, instance, at_time)
+
+
+class _SinkShardDies(NexmarkQ7):
+    """Q7 whose sink shard SIGKILLs itself on the first record it takes
+    at or after sim-t ``_KILL_AT``, while the window shard keeps
+    writing into the dead reader's pipe."""
+
+    def build_graph(self):
+        graph = super().build_graph()
+        graph.operators["q7-sink"].logic_factory = _DyingSink
+        return graph
+
+
+def _shm_listing():
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return sorted(os.listdir("/dev/shm"))
+
+
+@pytest.mark.parametrize("workload_cls, shard", [
+    (_SourceShardDies, 0), (_SinkShardDies, 1)], ids=["source", "sink"])
+def test_worker_death_raises_and_leaves_nothing_behind(workload_cls, shard):
+    before = _shm_listing()
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"shard {shard} worker died"):
+        run_sharded(workload_cls, until=60.0, shards=2,
+                    job_config=_SHARD_CONFIG, quantum=5.0)
+    assert time.monotonic() - t0 < 30.0
+    assert multiprocessing.active_children() == []
+    assert _shm_listing() == before
 
 
 def test_harness_shard_knobs_plumb_through():
-    """ExperimentConfig.shard_transport/shard_inbox_capacity reach the
-    sharded run and still reproduce the single-process figures."""
+    """ExperimentConfig.shard_inbox_capacity reaches the sharded run and
+    still reproduces the single-process figures."""
 
     def config(shards, **kw):
         return ExperimentConfig(
@@ -221,12 +245,9 @@ def test_harness_shard_knobs_plumb_through():
     # produce (shard_inbox_capacity becomes the engine-wide inbox)
     ref = run_experiment(config(1, job_config=JobConfig(
         inbox_capacity=256)))
-    shard = run_experiment(config(2, shard_transport="shm",
-                                  shard_inbox_capacity=256))
+    shard = run_experiment(config(2, shard_inbox_capacity=256))
     assert shard.source_records == ref.source_records
     assert shard.sink_records == ref.sink_records
     assert sorted(shard.latency_series) == sorted(ref.latency_series)
-    with pytest.raises(ValueError, match="shard_transport"):
-        ExperimentConfig(workload=NexmarkQ7(), shard_transport="telegraph")
     with pytest.raises(ValueError, match="shard_inbox_capacity"):
         ExperimentConfig(workload=NexmarkQ7(), shard_inbox_capacity=0)

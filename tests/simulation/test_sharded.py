@@ -251,21 +251,10 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="REPRO_SHARD_INBOX"):
             JobConfig()
 
-    def test_jobconfig_shard_transport_validation(self, monkeypatch):
-        assert JobConfig().shard_transport == "auto"
-        assert JobConfig(shard_transport="pipe").shard_transport == "pipe"
-        with pytest.raises(ValueError, match="shard_transport"):
-            JobConfig(shard_transport="carrier-pigeon")
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "shm")
-        assert JobConfig().shard_transport == "shm"
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "smoke-signal")
-        with pytest.raises(ValueError, match="shard_transport"):
-            JobConfig()
-
 
 class TestAdaptiveQuantum:
     def test_widen_after_productive_streak(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=32.0)
+        aq = sharded._AdaptiveQuantum(0.25)
         assert aq.value == 0.25
         aq.productive()
         assert aq.value == 0.25  # one productive round is not enough
@@ -273,10 +262,11 @@ class TestAdaptiveQuantum:
         assert aq.value == 0.5
         for _ in range(40):
             aq.productive()
-        assert aq.value == 0.25 * 32.0  # capped at the growth limit
+        # capped at the growth limit
+        assert aq.value == 0.25 * sharded.QUANTUM_GROWTH_LIMIT
 
     def test_shrink_on_blocked_wait(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=32.0)
+        aq = sharded._AdaptiveQuantum(0.25)
         for _ in range(8):
             aq.productive()
         widened = aq.value
@@ -294,13 +284,6 @@ class TestAdaptiveQuantum:
         aq.productive()
         assert aq.value == 0.25  # streak was broken, no widening yet
         assert aq.widenings == 0 and aq.shrinks == 0
-
-    def test_growth_limit_one_pins_the_quantum(self):
-        aq = sharded._AdaptiveQuantum(0.25, growth_limit=1.0)
-        for _ in range(10):
-            aq.productive()
-        assert aq.value == 0.25
-        assert aq.widenings == 0
 
 
 class TestPerEdgeCapacities:
@@ -323,19 +306,10 @@ class TestPerEdgeCapacities:
         plan = partition_graph(g, 3, lat)
         assert len(plan.cut_edges) >= 2
         first, second = plan.cut_edges[0], plan.cut_edges[1]
-        plan.annotate_cuts(ring_bytes={first: 1 << 16},
-                           inbox_overrides={second: 64,
-                                            "not->cut": 99})
-        assert plan.cut_hints[first] == {"ring_bytes": 1 << 16}
+        plan.annotate_cuts(inbox_overrides={second: 64, "not->cut": 99})
+        assert plan.cut_hints[first] == {}
         assert plan.cut_hints[second] == {"inbox_capacity": 64}
         assert "not->cut" not in plan.cut_hints
-
-    def test_annotate_cuts_int_applies_to_all(self):
-        g, lat = _chain_graph("s", "a", "b", latencies=[0.1] * 2)
-        plan = partition_graph(g, 3, lat)
-        plan.annotate_cuts(ring_bytes=4096)
-        for name in plan.cut_edges:
-            assert plan.cut_hints[name]["ring_bytes"] == 4096
 
     def test_run_sharded_cut_inbox_reaches_plan_hints(self):
         # A per-cut-edge window override must land in the recorded
